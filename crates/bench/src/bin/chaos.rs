@@ -638,7 +638,7 @@ impl Soak {
         w.u32(self.globals.raw());
         w.u32(self.n_globals);
         w.u32(self.frames);
-        // The runtime snapshot carries the parked DeletionState itself;
+        // The runtime snapshot carries the parked deletion phase itself;
         // the driver adds which region it is stepping and the budget
         // (which the runtime deliberately does not persist).
         match self.parked {

@@ -592,7 +592,7 @@ fn serve_one(
         // post-request upkeep (cache growth, index rotation) runs as
         // budgeted increments *after* the latency window closes, each
         // pause recorded separately. Stop-the-world mode keeps the
-        // historical accounting — upkeep, including the monolithic
+        // historical accounting — upkeep, including the one-increment
         // index deletion, lands inside the request it rode in on.
         // Identical heap operations either way; only the clock moves.
         if bounded {

@@ -146,35 +146,30 @@ pub enum DeleteProgress {
     Parked,
 }
 
-/// Resumable state of one parked incremental deletion. Serialized into
-/// `RSNP` snapshots alongside the region's liveness byte, so a
-/// kill-and-restore mid-deletion replays the remaining increments
-/// exactly.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct DeletionState {
-    pub(crate) phase: DeletePhase,
-}
-
 /// The phase split of an incremental `deleteregion`: bring the doomed
 /// region's count up to date (stack scan), release the counts its
 /// objects hold on other regions (the Figure 7 walk, driven by an
 /// explicit mark stack instead of nested loops), then return pages.
+///
+/// A parked deletion's phase is its whole resumable state. It is
+/// serialized into `RSNP` snapshots alongside the region's liveness
+/// byte, so a kill-and-restore mid-deletion replays the remaining
+/// increments exactly.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) enum DeletePhase {
-    /// Scanning unscanned stack frames, one frame per work unit. The
+    /// Scanning unscanned stack frames, one frame at a time. The
     /// `attempt_*` totals track the scan work done by *this* delete
     /// attempt so a refusal can be attributed
     /// ([`crate::ScanAttribution`]).
     ScanStack { attempt_frames: u64, attempt_slots: u64 },
     /// The cleanup walk. `marks` is the explicit mark stack: one
     /// `(page, start, cursor)` entry per remaining normal page, pushed
-    /// in reverse page order so popping reproduces the monolithic walk
+    /// in reverse page order so popping walks the pages in allocation
     /// order; `cursor` (≥ `start`) is the next unprocessed object-header
     /// offset on the top entry.
     Cleanup { marks: Vec<(Addr, u32, u32)> },
     /// Returning pages to the pool, stored in reverse release order
-    /// (normal pages first, then string pages, exactly as the monolithic
-    /// path releases them).
+    /// (normal pages are released first, then string pages).
     ReturnPages { pages: Vec<Addr> },
 }
 
@@ -257,14 +252,14 @@ pub struct RegionRuntime<H: HeapBackend = SimHeap> {
     global_ptr_locs: BTreeSet<u32>,
     // --- incremental deletion ---
     /// Work units one [`RegionRuntime::try_delete_region_step`] may spend
-    /// before parking (`u64::MAX` = unbounded, the historical monolithic
-    /// behavior). One unit ≈ one frame scanned, one object's counts
-    /// released, or one page returned. Host-side tuning state: not
-    /// serialized, restored runtimes default to unbounded.
+    /// before parking (`u64::MAX` = unbounded: every delete finishes in
+    /// one increment). Units are charged as
+    /// [`RegionRuntime::set_delete_budget`] lists. Host-side tuning
+    /// state: not serialized, restored runtimes default to unbounded.
     delete_budget: u64,
     /// Parked deletions by region index (invariant: an entry exists iff
     /// the region's liveness is `Parked`).
-    deletions: BTreeMap<u32, DeletionState>,
+    deletions: BTreeMap<u32, DeletePhase>,
     /// Refused-scan attribution ([`ScanAttribution`]); host-side
     /// diagnostics, not serialized.
     scan_attr: ScanAttribution,
@@ -670,13 +665,23 @@ impl<H: HeapBackend> RegionRuntime<H> {
         self.delete_budget
     }
 
-    /// Sets the work-increment budget for incremental deletion: the
-    /// maximum number of work units — frames scanned, objects whose
-    /// counts are released, pages returned — one
-    /// [`RegionRuntime::try_delete_region_step`] call may spend before
-    /// parking the region. `u64::MAX` (the default) keeps every
-    /// `deleteregion` monolithic and bit-identical to the historical
-    /// behavior. The budget is host-side tuning state: it is not
+    /// Sets the work budget of one
+    /// [`RegionRuntime::try_delete_region_step`] increment: the work
+    /// units it may spend before parking the region. Units are charged
+    /// as follows:
+    ///
+    /// * 1 per stack frame scanned;
+    /// * 1 per object the cleanup walk visits, plus 1 per pointer field
+    ///   it releases (every element's fields, for an array);
+    /// * 1 when the cleanup walk finishes a page;
+    /// * 1 per page returned to the pool.
+    ///
+    /// The count check, the unscan and phase changes are free. An object
+    /// is never split across increments, so an increment that starts a
+    /// large object may spend more than the budget.
+    ///
+    /// `u64::MAX` (the default) finishes every `deleteregion` in one
+    /// increment. The budget is host-side tuning state: it is not
     /// serialized into snapshots, and the final books of a deletion are
     /// identical under any budget.
     pub fn set_delete_budget(&mut self, budget: u64) {
@@ -1090,52 +1095,10 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// (§4.2.4, Figure 7) and all pages are returned to the page pool.
     ///
     /// In unsafe mode deletion is unconditional.
+    ///
+    /// Runs [`RegionRuntime::try_delete_region_step`] until the deletion
+    /// is done; at the default unbounded budget that is one increment.
     pub fn try_delete_region(&mut self, r: RegionId) -> Result<(), RegionError> {
-        if self.regions[r.0 as usize].liveness == Liveness::Dead {
-            return Err(RegionError::RegionDeleted { region: r });
-        }
-        if self.delete_budget == u64::MAX
-            && self.regions[r.0 as usize].liveness == Liveness::Live
-        {
-            // Monolithic fast path, kept verbatim: with an unbounded
-            // budget the historical operation *order* (scan, count
-            // check, cleanup walk, page release, unscan) is part of the
-            // observable surface — golden access traces record it.
-            if self.is_safe() {
-                let (f, s) = self.scan_stack();
-                let rc = self.regions[r.0 as usize].rc;
-                if rc != 0 {
-                    self.costs.deletes_failed += 1;
-                    self.scan_attr.refused_frames += f;
-                    self.scan_attr.refused_slots += s;
-                    self.unscan_top();
-                    return Err(RegionError::DeleteBlocked { region: r, rc });
-                }
-                self.cleanup_region(r);
-                self.costs.deletes += 1;
-            }
-            // Release every page of both allocators.
-            let info = &mut self.regions[r.0 as usize];
-            info.liveness = Liveness::Dead;
-            let pages: Vec<Addr> = info
-                .normal
-                .pages
-                .drain(..)
-                .chain(info.string.pages.drain(..))
-                .map(|(p, _)| p)
-                .collect();
-            let bytes = info.bytes;
-            for p in pages {
-                self.release_page(p);
-            }
-            self.stats.on_region_deleted(bytes);
-            if self.is_safe() {
-                self.unscan_top();
-            }
-            return Ok(());
-        }
-        // Bounded budget (or resuming a parked deletion): run the
-        // incremental machine to completion in place.
         loop {
             match self.try_delete_region_step(r)? {
                 DeleteProgress::Done => return Ok(()),
@@ -1160,70 +1123,82 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// The zero-reference check happens exactly once, in the same
     /// increment that scans the last stack frame; a refusal
     /// ([`RegionError::DeleteBlocked`]) revives the region to fully
-    /// `Live` with nothing freed, exactly like the monolithic path.
+    /// `Live` with nothing freed.
     ///
     /// Returns [`DeleteProgress::Done`] when the region is gone and
     /// [`DeleteProgress::Parked`] when budget ran out mid-phase.
     pub fn try_delete_region_step(&mut self, r: RegionId) -> Result<DeleteProgress, RegionError> {
-        let state = match self.regions[r.0 as usize].liveness {
+        let phase = match self.regions[r.0 as usize].liveness {
             Liveness::Dead => return Err(RegionError::RegionDeleted { region: r }),
+            Liveness::Live if !self.is_safe() => {
+                // Unsafe mode has no counts to prove or release:
+                // deletion is unconditional and the only work is
+                // handing pages back, which is still budgeted.
+                self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: false };
+                DeletePhase::ReturnPages { pages: self.drain_pages(r) }
+            }
             Liveness::Live => {
-                if !self.is_safe() {
-                    // Unsafe mode has no counts to prove or release:
-                    // deletion is unconditional and the only work is
-                    // handing pages back, which is still budgeted.
-                    let info = &mut self.regions[r.0 as usize];
-                    info.liveness = Liveness::Parked { scanning: false };
-                    let mut pages: Vec<Addr> = info
-                        .normal
-                        .pages
-                        .drain(..)
-                        .chain(info.string.pages.drain(..))
-                        .map(|(p, _)| p)
-                        .collect();
-                    pages.reverse(); // popped back-to-front below
-                    DeletionState { phase: DeletePhase::ReturnPages { pages } }
-                } else {
-                    self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: true };
-                    DeletionState {
-                        phase: DeletePhase::ScanStack { attempt_frames: 0, attempt_slots: 0 },
-                    }
-                }
+                self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: true };
+                DeletePhase::ScanStack { attempt_frames: 0, attempt_slots: 0 }
             }
             Liveness::Parked { .. } => self
                 .deletions
                 .remove(&r.0)
                 .expect("parked region has a checked-out deletion state"),
         };
-        match self.run_increment(r, state) {
-            Ok(Some(state)) => {
-                self.deletions.insert(r.0, state);
+        let outcome = self.run_increment(r, phase);
+        // Returning from `deleteregion` unscans the caller's frame
+        // (§4.2.3). Only the increment that scanned the last frame
+        // leaves it scanned — through the count check, the cleanup walk
+        // and page return, the paper's operation order — so invariant
+        // (*) holds at every park point; for any other increment this
+        // is a no-op.
+        if self.is_safe() {
+            self.unscan_top();
+        }
+        match outcome? {
+            Some(phase) => {
+                self.deletions.insert(r.0, phase);
                 Ok(DeleteProgress::Parked)
             }
-            Ok(None) => Ok(DeleteProgress::Done),
-            Err(e) => Err(e),
+            None => Ok(DeleteProgress::Done),
         }
     }
 
+    /// Empties both of `r`'s allocators into the page-return order:
+    /// normal pages then string pages, stored reversed so popping
+    /// releases them front to back.
+    fn drain_pages(&mut self, r: RegionId) -> Vec<Addr> {
+        let info = &mut self.regions[r.0 as usize];
+        let mut pages: Vec<Addr> = info
+            .normal
+            .pages
+            .drain(..)
+            .chain(info.string.pages.drain(..))
+            .map(|(p, _)| p)
+            .collect();
+        pages.reverse();
+        pages
+    }
+
     /// Body of one increment: spend up to `delete_budget` units on
-    /// `state`, returning `Some(state)` to park or `None` when the
-    /// deletion completed. Phase transitions within one increment are
-    /// free; every unit of real work (a frame scanned, an object's
-    /// fields released, a page returned) is charged.
+    /// `phase`, returning `Some(phase)` to park or `None` when the
+    /// deletion completed. Units are charged as
+    /// [`RegionRuntime::set_delete_budget`] lists.
     fn run_increment(
         &mut self,
         r: RegionId,
-        state: DeletionState,
-    ) -> Result<Option<DeletionState>, RegionError> {
+        mut phase: DeletePhase,
+    ) -> Result<Option<DeletePhase>, RegionError> {
         let mut budget = self.delete_budget;
-        let mut phase = state.phase;
         loop {
             match phase {
                 DeletePhase::ScanStack { mut attempt_frames, mut attempt_slots } => {
                     while self.hwm < self.frames.len() {
                         if budget == 0 {
-                            return Ok(Some(DeletionState {
-                                phase: DeletePhase::ScanStack { attempt_frames, attempt_slots },
+                            return Ok(Some(DeletePhase::ScanStack {
+                                attempt_frames,
+                                attempt_slots,
                             }));
                         }
                         let slots = self.scan_one_frame();
@@ -1231,24 +1206,21 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         attempt_slots += u64::from(slots);
                         budget -= 1;
                     }
-                    // Count check and unscan ride free with the final
-                    // frame: the scan-complete increment always ends
-                    // with the newest frame unscanned, so invariant (*)
-                    // holds at every park point.
+                    // The count check rides free with the final frame;
+                    // the newest frame stays scanned until this
+                    // increment returns (see `try_delete_region_step`).
                     let rc = self.regions[r.0 as usize].rc;
                     if rc != 0 {
                         self.costs.deletes_failed += 1;
                         self.scan_attr.refused_frames += attempt_frames;
                         self.scan_attr.refused_slots += attempt_slots;
                         self.regions[r.0 as usize].liveness = Liveness::Live;
-                        self.unscan_top();
                         return Err(RegionError::DeleteBlocked { region: r, rc });
                     }
                     self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: false };
-                    self.unscan_top();
-                    // Mark stack, pushed in reverse so pops replay the
-                    // monolithic page order. Each mark is (page, start
-                    // offset, cursor); the cursor resumes mid-page.
+                    // Mark stack, pushed in reverse so pops walk the
+                    // pages in allocation order. Each mark is (page,
+                    // start offset, cursor); the cursor resumes mid-page.
                     let mut marks: Vec<(Addr, u32, u32)> = self.regions[r.0 as usize]
                         .normal
                         .pages
@@ -1261,9 +1233,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 DeletePhase::Cleanup { mut marks } => {
                     while let Some(&(page, start, cursor)) = marks.last() {
                         if budget == 0 {
-                            return Ok(Some(DeletionState {
-                                phase: DeletePhase::Cleanup { marks },
-                            }));
+                            return Ok(Some(DeletePhase::Cleanup { marks }));
                         }
                         if cursor == start {
                             self.costs.cleanup_pages += 1;
@@ -1295,6 +1265,14 @@ impl<H: HeapBackend> RegionRuntime<H> {
                             let stride = self.heap.load_u32_fast(cur + 2 * WORD);
                             let data = cur + 3 * WORD;
                             let offsets = self.descs.get(desc).ptr_offsets().to_vec();
+                            // Single-pointer arrays whose fields are all
+                            // still null (common: cleared on alloc, never
+                            // linked) release nothing, so the walk is one
+                            // strided bulk load — a single Range record to
+                            // any attached sink. Bit-for-bit equal to the
+                            // per-field walk: `region_of(null)` loads
+                            // nothing, so the baseline stream is exactly
+                            // these n word reads.
                             let all_null = match offsets[..] {
                                 [off] if n > 1 && stride > 0 => {
                                     (0..n).all(|i| self.heap.peek_u32(data + i * stride + off) == 0)
@@ -1333,23 +1311,12 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         marks.last_mut().unwrap().2 = next - page;
                     }
                     self.costs.deletes += 1;
-                    let info = &mut self.regions[r.0 as usize];
-                    let mut pages: Vec<Addr> = info
-                        .normal
-                        .pages
-                        .drain(..)
-                        .chain(info.string.pages.drain(..))
-                        .map(|(p, _)| p)
-                        .collect();
-                    pages.reverse(); // popped back-to-front below
-                    phase = DeletePhase::ReturnPages { pages };
+                    phase = DeletePhase::ReturnPages { pages: self.drain_pages(r) };
                 }
                 DeletePhase::ReturnPages { mut pages } => {
                     while let Some(&p) = pages.last() {
                         if budget == 0 {
-                            return Ok(Some(DeletionState {
-                                phase: DeletePhase::ReturnPages { pages },
-                            }));
+                            return Ok(Some(DeletePhase::ReturnPages { pages }));
                         }
                         self.release_page(p);
                         pages.pop();
@@ -1376,69 +1343,6 @@ impl<H: HeapBackend> RegionRuntime<H> {
             Ok(()) => true,
             Err(RegionError::DeleteBlocked { .. }) => false,
             Err(e) => panic!("double delete of {r:?}: {e}"),
-        }
-    }
-
-    /// Walks every object of a deleted region and releases the reference
-    /// counts held by its region-pointer fields (paper Figure 7; the
-    /// descriptor plays the role of the cleanup function of Figure 6).
-    fn cleanup_region(&mut self, r: RegionId) {
-        let pages: Vec<(Addr, u32)> = self.regions[r.0 as usize].normal.pages.clone();
-        for (page, start) in pages {
-            self.costs.cleanup_pages += 1;
-            let mut cur = page + start;
-            let end = page + PAGE_SIZE;
-            while cur + WORD <= end {
-                let hdr = self.heap.load_u32_fast(cur);
-                if hdr == 0 {
-                    break; // "the end of unfilled pages is marked with a NULL"
-                }
-                self.costs.cleanup_objects += 1;
-                self.costs.cleanup_instrs += CLEANUP_OBJECT_INSTRS;
-                if hdr & ARRAY_FLAG != 0 {
-                    let desc = DescId((hdr & !ARRAY_FLAG) - 1);
-                    let n = self.heap.load_u32_fast(cur + WORD);
-                    let stride = self.heap.load_u32_fast(cur + 2 * WORD);
-                    let data = cur + 3 * WORD;
-                    let offsets = self.descs.get(desc).ptr_offsets().to_vec();
-                    // Single-pointer arrays whose fields are all still null
-                    // (common: cleared on alloc, never linked) release
-                    // nothing, so the walk is one strided bulk load — a
-                    // single Range record to any attached sink. Bit-for-bit
-                    // equal to the per-field walk: `region_of(null)` loads
-                    // nothing, so the baseline stream is exactly these n
-                    // word reads.
-                    let all_null = match offsets[..] {
-                        [off] if n > 1 && stride > 0 => {
-                            (0..n).all(|i| self.heap.peek_u32(data + i * stride + off) == 0)
-                        }
-                        _ => false,
-                    };
-                    if all_null {
-                        self.costs.cleanup_ptrs += u64::from(n);
-                        self.costs.cleanup_instrs += u64::from(n) * CLEANUP_PTR_INSTRS;
-                        self.heap.load_u32_range(data + offsets[0], n, stride);
-                    } else {
-                        for i in 0..n {
-                            for &off in &offsets {
-                                self.cleanup_release(r, data + i * stride + off);
-                            }
-                        }
-                    }
-                    cur = data + n * stride;
-                } else {
-                    let desc = DescId(hdr - 1);
-                    let data = cur + WORD;
-                    let (size, offsets) = {
-                        let d = self.descs.get(desc);
-                        (d.size(), d.ptr_offsets().to_vec())
-                    };
-                    for &off in &offsets {
-                        self.cleanup_release(r, data + off);
-                    }
-                    cur = data + align_up(size, WORD);
-                }
-            }
         }
     }
 
@@ -1553,8 +1457,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 }
                 Liveness::Parked { .. } => {
                     report.parked_regions += 1;
-                    match &self.deletions.get(&(i as u32)).expect("parked region has state").phase
-                    {
+                    match self.deletions.get(&(i as u32)).expect("parked region has state") {
                         DeletePhase::ScanStack { .. } => info.normal.pages.clone(),
                         DeletePhase::Cleanup { marks } => {
                             marks.iter().map(|&(p, _, cursor)| (p, cursor)).collect()
@@ -1668,9 +1571,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 Liveness::Live => w.u8(1),
                 Liveness::Parked { .. } => {
                     w.u8(2);
-                    let state =
-                        self.deletions.get(&(i as u32)).expect("parked region has state");
-                    match &state.phase {
+                    match self.deletions.get(&(i as u32)).expect("parked region has state") {
                         DeletePhase::ScanStack { attempt_frames, attempt_slots } => {
                             w.u8(0);
                             w.u64(*attempt_frames);
@@ -1993,7 +1894,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         }
                     }
                 }
-                deletions.insert(idx, DeletionState { phase });
+                deletions.insert(idx, phase);
             }
             regions.push(RegionInfo { rc, liveness, normal, string, bytes, allocs });
         }
@@ -2159,9 +2060,9 @@ impl<H: HeapBackend> RegionRuntime<H> {
             violations,
             global_ptr_locs,
             // Host-side tuning knobs and diagnostics are deliberately
-            // not serialized: a restored runtime defaults to monolithic
-            // deletion (the caller re-applies its budget) and fresh
-            // attribution, while `deletions` was rebuilt above.
+            // not serialized: a restored runtime defaults to an
+            // unbounded delete budget (the caller re-applies its own)
+            // and fresh attribution, while `deletions` was rebuilt above.
             delete_budget: u64::MAX,
             deletions,
             scan_attr: ScanAttribution::default(),
@@ -2305,7 +2206,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 Liveness::Dead => continue,
                 Liveness::Live => info.normal.pages.clone(),
                 Liveness::Parked { .. } => {
-                    match &self.deletions.get(&(i as u32)).ok_or_else(bad)?.phase {
+                    match self.deletions.get(&(i as u32)).ok_or_else(bad)? {
                         DeletePhase::ScanStack { .. } => info.normal.pages.clone(),
                         DeletePhase::Cleanup { marks } => {
                             marks.iter().map(|&(p, _, cursor)| (p, cursor)).collect()
@@ -3218,10 +3119,41 @@ mod tests {
     }
 
     #[test]
-    fn budget_one_deletion_matches_monolithic_bit_for_bit() {
-        let (mut mono, _, victim) = deletion_workload(u64::MAX);
+    fn unbounded_deletion_unscans_after_page_release() {
+        // The paper's deleteregion returns to its caller — unscanning the
+        // caller's frame — only after the cleanup walk and page release;
+        // the committed golden access traces record that order.
+        use simheap::{AccessKind, RecordingSink};
+        let (mut rt, _, doomed) = deletion_workload(u64::MAX);
+        let top = *rt.frames.last().unwrap();
+        let top_slots =
+            rt.slot_addr(top.base_slot).raw()..rt.slot_addr(top.base_slot + top.n_slots).raw();
+        let chunks: Vec<Addr> = rt.map_root.iter().flatten().copied().collect();
+        let in_map = |a: u32| chunks.iter().any(|c| (c.raw()..c.raw() + PAGE_SIZE).contains(&a));
+        rt.heap_mut().attach_sink(Box::new(RecordingSink::default()));
+        assert!(rt.delete_region(doomed));
+        let sink = rt.heap_mut().detach_sink().unwrap();
+        let log = sink.into_any().downcast::<RecordingSink>().unwrap().log;
+        let last_map_write = log
+            .iter()
+            .rposition(|a| a.kind == AccessKind::Write && in_map(a.addr))
+            .expect("page release writes the page map");
+        let last_top_read = log
+            .iter()
+            .rposition(|a| a.kind == AccessKind::Read && top_slots.contains(&a.addr))
+            .expect("scan and unscan read the newest frame");
+        assert!(
+            last_top_read > last_map_write,
+            "unscan read #{last_top_read} must follow the last page-map write #{last_map_write}"
+        );
+        assert_eq!(rt.high_water_mark(), rt.frame_depth() - 1, "invariant (*) restored");
+    }
+
+    #[test]
+    fn budget_one_deletion_matches_unbounded_bit_for_bit() {
+        let (mut unbounded, _, victim) = deletion_workload(u64::MAX);
         let (mut inc, _, victim2) = deletion_workload(1);
-        assert!(mono.delete_region(victim));
+        assert!(unbounded.delete_region(victim));
         let mut steps = 0u64;
         loop {
             match inc.try_delete_region_step(victim2).unwrap() {
@@ -3240,12 +3172,12 @@ mod tests {
         }
         assert!(steps > 100, "budget 1 must park many times, parked {steps}x");
         assert!(!inc.is_parked(victim2));
-        assert_eq!(mono.stats(), inc.stats());
-        assert_eq!(mono.costs(), inc.costs());
+        assert_eq!(unbounded.stats(), inc.stats());
+        assert_eq!(unbounded.costs(), inc.costs());
         assert_eq!(
-            mono.capture_snapshot(),
+            unbounded.capture_snapshot(),
             inc.capture_snapshot(),
-            "incremental and monolithic deletion must land on identical state"
+            "budget-1 and unbounded deletion must land on identical state"
         );
     }
 
@@ -3307,7 +3239,7 @@ mod tests {
     }
 
     #[test]
-    fn monolithic_refusal_is_attributed_too() {
+    fn unbounded_refusal_is_attributed_too() {
         let mut rt = RegionRuntime::new_safe();
         let d = list_desc(&mut rt);
         let r1 = rt.new_region();

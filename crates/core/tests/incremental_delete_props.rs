@@ -1,15 +1,15 @@
 //! Property tests for bounded-pause incremental `deleteregion`: running
 //! every deletion of an arbitrary valid op sequence through an arbitrary
 //! work budget (including budget = 1) must be observationally identical
-//! to the monolithic stop-the-world path — same final snapshot bytes
-//! (hence same heap image, counters, stats, costs and fault-plan
-//! progress), same violations, same refused-scan attribution, same
-//! `sanitize()` verdict — and the books must audit clean at **every
-//! increment boundary**. A second battery kills the process at sampled
-//! increment boundaries (`capture_snapshot` of the parked
-//! `DeletionState`), restores, resumes the in-flight deletion, replays
-//! the suffix, and must converge to the same bytes. Both batteries run
-//! fault-free and under a seeded injected-fault schedule.
+//! to the unbounded budget, where each delete finishes in one increment
+//! — same final snapshot bytes (hence same heap image, counters, stats,
+//! costs and fault-plan progress), same violations, same refused-scan
+//! attribution, same `sanitize()` verdict — and the books must audit
+//! clean at **every increment boundary**. A second battery kills the
+//! process at sampled increment boundaries (`capture_snapshot` of the
+//! parked deletion phase), restores, resumes the in-flight deletion,
+//! replays the suffix, and must converge to the same bytes. Both
+//! batteries run fault-free and under a seeded injected-fault schedule.
 
 use proptest::prelude::*;
 use region_core::{
@@ -63,11 +63,11 @@ struct Boundary {
     frames: usize,
 }
 
-/// Deterministic replay driver, in the mold of `snapshot_props.rs`. With
-/// `budget == u64::MAX` every `Delete` op takes the historical monolithic
-/// `try_delete_region` path; with a finite budget it drains the region
-/// through `try_delete_region_step`, auditing the books at every
-/// increment boundary and offering each boundary to `on_boundary`.
+/// Deterministic replay driver, in the mold of `snapshot_props.rs`. Every
+/// `Delete` op drains the region through `try_delete_region_step`,
+/// auditing the books at every increment boundary and offering each
+/// boundary to `on_boundary`; at `budget == u64::MAX` the first
+/// increment finishes and there is no boundary.
 struct World {
     rt: RegionRuntime,
     node: DescId,
@@ -93,7 +93,7 @@ impl World {
 
     /// Rebuilds a world around a restored runtime, adopting the host-side
     /// bookkeeping recorded at the kill point. The delete budget is not
-    /// serialized (a restored runtime defaults to monolithic), so the
+    /// serialized (a restored runtime defaults to unbounded), so the
     /// driver re-arms it — exactly what `RegionRuntime::set_delete_budget`
     /// documents real drivers must do.
     fn adopt(rt: RegionRuntime, b: &Boundary, node: DescId, globals: Addr, budget: u64) -> World {
@@ -113,7 +113,7 @@ impl World {
 
     /// Drains one region through the budgeted state machine, auditing at
     /// every increment boundary. Returns whether the deletion succeeded
-    /// (a refusal revives the region, exactly like the monolithic path).
+    /// (a refusal revives the region to fully live).
     fn drain(&mut self, r: RegionId, mut on_boundary: impl FnMut(&RegionRuntime, u64)) -> bool {
         loop {
             match self.rt.try_delete_region_step(r) {
@@ -198,12 +198,7 @@ impl World {
                     return;
                 }
                 let r = self.live[region % self.live.len()];
-                let ok = if self.budget == u64::MAX {
-                    self.rt.try_delete_region(r).is_ok()
-                } else {
-                    self.drain(r, |rt, n| on_boundary(rt, r, n))
-                };
-                if ok {
+                if self.drain(r, |rt, n| on_boundary(rt, r, n)) {
                     self.live.retain(|&x| x != r);
                     self.objs.clear();
                 }
@@ -218,7 +213,7 @@ fn fnv(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
 }
 
-/// The monolithic control arm plus one budgeted arm per budget; every arm
+/// The unbounded control arm plus one budgeted arm per budget; every arm
 /// must land on the same bytes, and each budgeted arm must audit clean at
 /// every increment boundary along the way.
 fn check_budget_equivalence(ops: &[Op], plan: Option<FaultPlan>) {
@@ -240,7 +235,7 @@ fn check_budget_equivalence(ops: &[Op], plan: Option<FaultPlan>) {
         assert_eq!(
             fnv(&got),
             want_digest,
-            "budget {budget}: digest diverged from monolithic (after {} boundaries)",
+            "budget {budget}: digest diverged from unbounded (after {} boundaries)",
             w.boundaries_seen
         );
         assert_eq!(got, want, "budget {budget}: snapshot bytes diverged");
@@ -270,7 +265,7 @@ fn check_budget_equivalence(ops: &[Op], plan: Option<FaultPlan>) {
 
 /// Kill-at-increment-boundary battery: replay the sequence with a finite
 /// budget, snapshot at every parked boundary (the snapshot carries the
-/// parked `DeletionState`), then for each boundary restore into a fresh
+/// parked deletion phase), then for each boundary restore into a fresh
 /// runtime, re-arm the budget, resume the interrupted drain, replay the
 /// remaining ops, and demand convergence on the straight-through bytes.
 fn check_kill_at_every_boundary(ops: &[Op], budget: u64, plan: Option<FaultPlan>) {
@@ -302,7 +297,7 @@ fn check_kill_at_every_boundary(ops: &[Op], budget: u64, plan: Option<FaultPlan>
 
     for (k, b) in boundaries.iter().enumerate() {
         let restored = RegionRuntime::restore_snapshot(&b.image)
-            .expect("mid-deletion snapshot must restore (parked DeletionState)");
+            .expect("mid-deletion snapshot must restore (parked deletion phase)");
         assert!(
             restored.sanitize().is_clean(),
             "kill at boundary {k}: restored books dirty"
@@ -336,10 +331,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Deletion under any budget — including one unit of work per
-    /// increment — is byte-identical to the monolithic path, and the
+    /// increment — is byte-identical to the unbounded budget, and the
     /// books audit clean at every increment boundary.
     #[test]
-    fn any_budget_matches_monolithic(ops in ops()) {
+    fn any_budget_matches_unbounded(ops in ops()) {
         check_budget_equivalence(&ops, None);
     }
 
@@ -347,7 +342,7 @@ proptest! {
     /// same allocations on both arms because deletion increments consume
     /// no fault-plan progress.
     #[test]
-    fn any_budget_matches_monolithic_under_faults(ops in ops(), seed in 1u64..1_000) {
+    fn any_budget_matches_unbounded_under_faults(ops in ops(), seed in 1u64..1_000) {
         let plan = FaultPlan::seeded(seed).fail_every_mth_alloc(7).fail_allocs_one_in(13);
         check_budget_equivalence(&ops, Some(plan));
     }
@@ -360,7 +355,7 @@ proptest! {
     }
 
     /// Same, with the kill landing inside a fault window: the restored
-    /// fault-plan progress and the parked `DeletionState` replay
+    /// fault-plan progress and the parked deletion phase replay
     /// together.
     #[test]
     fn kill_at_any_increment_boundary_resumes_exactly_under_faults(
