@@ -158,6 +158,12 @@ echo "== results schema self-compare =="
 # survived the rewrite.
 ./target/release/compare_results results/server.json results/server.json >/dev/null
 
+echo "== repo benchmark self-test (books, audit, injected-fault gates) =="
+# Tiny traced and untraced runs of every BENCHMARK.json workload: books
+# digests stable across reruns and trace modes, a leaked region and a
+# doctored checksum each fail the run, and a stripped checkout refuses.
+python3 perfbench/selftest.py
+
 echo "== criterion benches, quick mode =="
 BENCH_QUICK=1 cargo bench -p bench-harness >/dev/null
 

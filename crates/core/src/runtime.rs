@@ -1264,7 +1264,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                             let n = self.heap.load_u32_fast(cur + WORD);
                             let stride = self.heap.load_u32_fast(cur + 2 * WORD);
                             let data = cur + 3 * WORD;
-                            let offsets = self.descs.get(desc).ptr_offsets().to_vec();
+                            let n_offsets = self.descs.get(desc).ptr_offsets().len();
                             // Single-pointer arrays whose fields are all
                             // still null (common: cleared on alloc, never
                             // linked) release nothing, so the walk is one
@@ -1273,38 +1273,38 @@ impl<H: HeapBackend> RegionRuntime<H> {
                             // per-field walk: `region_of(null)` loads
                             // nothing, so the baseline stream is exactly
                             // these n word reads.
-                            let all_null = match offsets[..] {
-                                [off] if n > 1 && stride > 0 => {
-                                    (0..n).all(|i| self.heap.peek_u32(data + i * stride + off) == 0)
-                                }
-                                _ => false,
+                            let all_null_at = match *self.descs.get(desc).ptr_offsets() {
+                                [off] if n > 1 && stride > 0 => (0..n)
+                                    .all(|i| self.heap.peek_u32(data + i * stride + off) == 0)
+                                    .then_some(off),
+                                _ => None,
                             };
-                            if all_null {
+                            if let Some(off) = all_null_at {
                                 self.costs.cleanup_ptrs += u64::from(n);
                                 self.costs.cleanup_instrs += u64::from(n) * CLEANUP_PTR_INSTRS;
-                                self.heap.load_u32_range(data + offsets[0], n, stride);
+                                self.heap.load_u32_range(data + off, n, stride);
                                 budget = budget.saturating_sub(u64::from(n));
                             } else {
                                 for i in 0..n {
-                                    for &off in &offsets {
+                                    for k in 0..n_offsets {
+                                        let off = self.descs.get(desc).ptr_offsets()[k];
                                         self.cleanup_release(r, data + i * stride + off);
                                     }
                                 }
-                                budget = budget
-                                    .saturating_sub(u64::from(n) * offsets.len() as u64);
+                                budget =
+                                    budget.saturating_sub(u64::from(n) * n_offsets as u64);
                             }
                             data + n * stride
                         } else {
                             let desc = DescId(hdr - 1);
                             let data = cur + WORD;
-                            let (size, offsets) = {
-                                let d = self.descs.get(desc);
-                                (d.size(), d.ptr_offsets().to_vec())
-                            };
-                            for &off in &offsets {
+                            let d = self.descs.get(desc);
+                            let (size, n_offsets) = (d.size(), d.ptr_offsets().len());
+                            for k in 0..n_offsets {
+                                let off = self.descs.get(desc).ptr_offsets()[k];
                                 self.cleanup_release(r, data + off);
                             }
-                            budget = budget.saturating_sub(offsets.len() as u64);
+                            budget = budget.saturating_sub(n_offsets as u64);
                             data + align_up(size, WORD)
                         };
                         budget = budget.saturating_sub(1);

@@ -61,8 +61,10 @@ pub trait HeapBackend {
     /// model (head bytes, whole words, tail bytes).
     fn fill(&mut self, addr: Addr, len: u32, byte: u8);
     /// Loads `len` words starting at `start`, `stride` bytes apart, as
-    /// one batched access.
-    fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32) -> Vec<u32>;
+    /// one batched access: the checks, load count and single `Range`
+    /// record of [`crate::SimHeap::load_u32_range`], without returning
+    /// the values (read them with [`HeapBackend::peek_u32`]).
+    fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32);
 
     /// `true` if an access sink is attached (host-side mirrors must then
     /// take the in-heap path so the sink misses nothing).
@@ -118,8 +120,8 @@ impl HeapBackend for crate::SimHeap {
     fn fill(&mut self, addr: Addr, len: u32, byte: u8) {
         SimHeapInherent::fill(self, addr, len, byte);
     }
-    fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32) -> Vec<u32> {
-        SimHeapInherent::load_u32_range(self, start, len, stride)
+    fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32) {
+        SimHeapInherent::touch_u32_range(self, start, len, stride);
     }
     fn is_tracing(&self) -> bool {
         SimHeapInherent::is_tracing(self)

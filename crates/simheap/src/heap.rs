@@ -551,8 +551,25 @@ impl SimHeap {
     /// Panics if `stride` is not word-aligned or any touched word is
     /// unmapped/misaligned, exactly as the per-word loop would.
     pub fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32) -> Vec<u32> {
+        self.touch_u32_range(start, len, stride);
+        (0..len)
+            .map(|i| {
+                let j = (start.raw() + i * stride) as usize;
+                u32::from_le_bytes([
+                    self.memory[j],
+                    self.memory[j + 1],
+                    self.memory[j + 2],
+                    self.memory[j + 3],
+                ])
+            })
+            .collect()
+    }
+
+    /// The checks, counting and `Range` record of
+    /// [`SimHeap::load_u32_range`] without collecting the values.
+    pub(crate) fn touch_u32_range(&mut self, start: Addr, len: u32, stride: u32) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
         assert!(stride % WORD == 0, "misaligned stride {stride} in bulk load at {start}");
         self.check_word(start, "load");
@@ -572,17 +589,6 @@ impl SimHeap {
                 kind: AccessKind::Read,
             }));
         }
-        (0..len)
-            .map(|i| {
-                let j = (start.raw() + i * stride) as usize;
-                u32::from_le_bytes([
-                    self.memory[j],
-                    self.memory[j + 1],
-                    self.memory[j + 2],
-                    self.memory[j + 3],
-                ])
-            })
-            .collect()
     }
 
     /// Scans `len` contiguous words starting at `start` into `out`

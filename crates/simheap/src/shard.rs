@@ -31,6 +31,16 @@
 //! `(worker + 1) << 24 | (region_index + 1)`, 0 = unowned — so any
 //! thread (or the world auditor) can classify a foreign address without
 //! touching the owner's in-heap map.
+//!
+//! Word accesses take one branch on the hot path: an aligned address
+//! whose page is in this shard's own page list is non-null, inside the
+//! shard's span and below its break, so that single test is the whole
+//! check (the same idiom as `SimHeap::check_word`). Everything else —
+//! foreign reads, misaligned or unmapped addresses, guard-page and
+//! cross-shard faults — falls through to the full check, so every panic
+//! message is the one a `SimHeap` would give. `fill` checks its range
+//! once and stores the aligned middle a page slice at a time. The
+//! `*_fast` entry points therefore share the ordinary ones' code.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -431,6 +441,37 @@ impl HeapShard {
         }
     }
 
+    /// The word behind `addr` when `addr` is word-aligned and its page
+    /// is mapped in this shard. That alone implies non-null, inside the
+    /// span and below the break, so a hit needs no further check; every
+    /// miss (and every fault) goes through [`HeapShard::check`].
+    #[inline]
+    fn own_word(&self, addr: Addr) -> Option<&AtomicU32> {
+        if !addr.is_aligned(WORD) {
+            return None;
+        }
+        let page = self.local.get(addr.page_index().wrapping_sub(self.base_page) as usize)?;
+        Some(&page[(addr.page_offset() / WORD) as usize])
+    }
+
+    /// Stores `value` into `n` consecutive owned words from the aligned
+    /// `start`, one page slice at a time (the caller checked the range).
+    fn fill_words(&self, start: Addr, n: u32, value: u32) {
+        let mut page = (start.page_index() - self.base_page) as usize;
+        let mut from = (start.page_offset() / WORD) as usize;
+        let mut left = n as usize;
+        while left > 0 {
+            let words = &self.local[page][from..];
+            let k = words.len().min(left);
+            for w in &words[..k] {
+                w.store(value, Ordering::Relaxed);
+            }
+            left -= k;
+            page += 1;
+            from = 0;
+        }
+    }
+
     #[inline]
     fn write_word(&self, addr: Addr, value: u32) {
         let page = (addr.page_index() - self.base_page) as usize;
@@ -503,21 +544,32 @@ impl HeapBackend for HeapShard {
     }
 
     fn load_u32(&mut self, addr: Addr) -> u32 {
-        self.check(addr, WORD, WORD, "load", false);
+        let value = match self.own_word(addr) {
+            Some(w) => w.load(Ordering::Relaxed),
+            None => {
+                self.check(addr, WORD, WORD, "load", false);
+                self.read_word(addr)
+            }
+        };
         self.loads += 1;
         if self.tracing {
             self.emit_event(AccessEvent::Word(Access::read(addr.raw(), 4)));
         }
-        self.read_word(addr)
+        value
     }
 
     fn store_u32(&mut self, addr: Addr, value: u32) {
-        self.check(addr, WORD, WORD, "store", true);
+        match self.own_word(addr) {
+            Some(w) => w.store(value, Ordering::Relaxed),
+            None => {
+                self.check(addr, WORD, WORD, "store", true);
+                self.write_word(addr, value);
+            }
+        }
         self.stores += 1;
         if self.tracing {
             self.emit_event(AccessEvent::Word(Access::write(addr.raw(), 4)));
         }
-        self.write_word(addr, value);
     }
 
     fn load_u32_fast(&mut self, addr: Addr) -> u32 {
@@ -529,6 +581,9 @@ impl HeapBackend for HeapShard {
     }
 
     fn peek_u32(&self, addr: Addr) -> u32 {
+        if let Some(w) = self.own_word(addr) {
+            return w.load(Ordering::Relaxed);
+        }
         assert!(addr.is_aligned(WORD), "misaligned peek at {addr}");
         self.check(addr, WORD, WORD, "peek", false);
         self.read_word(addr)
@@ -552,9 +607,7 @@ impl HeapBackend for HeapShard {
             self.write_byte(addr + b, byte);
         }
         let words_start = addr + head;
-        for w in 0..words {
-            self.write_word(words_start + w * WORD, fill_word);
-        }
+        self.fill_words(words_start, words, fill_word);
         let tail_start = words_start + words * WORD;
         for b in 0..tail {
             self.write_byte(tail_start + b, byte);
@@ -591,9 +644,9 @@ impl HeapBackend for HeapShard {
         }
     }
 
-    fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32) -> Vec<u32> {
+    fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
         assert!(stride % WORD == 0, "misaligned stride {stride} in bulk load at {start}");
         self.check(start, WORD, WORD, "load", false);
@@ -615,7 +668,6 @@ impl HeapBackend for HeapShard {
                 kind: AccessKind::Read,
             }));
         }
-        (0..len).map(|i| self.read_word(start + i * stride)).collect()
     }
 
     fn is_tracing(&self) -> bool {
@@ -657,7 +709,7 @@ impl HeapShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimHeap;
+    use crate::{EventRecordingSink, SimHeap};
 
     #[test]
     fn single_shard_matches_simheap_word_for_word() {
@@ -667,6 +719,8 @@ mod tests {
         let a = heap.sbrk_pages(2);
         let b = HeapBackend::sbrk_pages(&mut shard, 2);
         assert_eq!(a, b, "shard 0 of a fresh space starts at the SimHeap break");
+        heap.attach_sink(Box::new(EventRecordingSink::default()));
+        shard.attach_sink(Box::new(EventRecordingSink::default()));
         for i in 0..64u32 {
             heap.store_u32(a + i * WORD, i * 3 + 1);
             shard.store_u32(a + i * WORD, i * 3 + 1);
@@ -675,17 +729,32 @@ mod tests {
         // split (byte RMW edges on the shard side).
         heap.fill(a + 41, 99, 0xAB);
         shard.fill(a + 41, 99, 0xAB);
+        // Aligned fills take the page-slice path: one inside a page, one
+        // running from the end of page 0 into page 1.
+        heap.fill(a + 128, 64, 0x5C);
+        shard.fill(a + 128, 64, 0x5C);
+        let cross = a + PAGE_SIZE - 24;
+        heap.fill(cross, 56, 0xE1);
+        shard.fill(cross, 56, 0xE1);
         for i in 0..64u32 {
             assert_eq!(heap.load_u32(a + i * WORD), shard.load_u32(a + i * WORD));
         }
-        assert_eq!(
-            heap.load_u32_range(a, 16, 8),
-            shard.load_u32_range(a, 16, 8),
-            "strided bulk loads agree"
-        );
+        for i in 0..16u32 {
+            let w = cross - 8 + i * WORD;
+            assert_eq!(heap.load_u32(w), shard.load_u32(w), "page-crossing fill at {w}");
+        }
+        let _ = heap.load_u32_range(a, 16, 8);
+        HeapBackend::load_u32_range(&mut shard, a, 16, 8);
         assert_eq!(heap.load_count(), HeapBackend::load_count(&shard));
         assert_eq!(heap.store_count(), HeapBackend::store_count(&shard));
         assert_eq!(heap.peek_u32(a), shard.peek_u32(a));
+        assert_eq!(heap.peek_u32(cross + 28), shard.peek_u32(cross + 28));
+        let events = |sink: Option<Box<dyn AccessSink>>| {
+            sink.unwrap().into_any().downcast::<EventRecordingSink>().unwrap().log
+        };
+        let (he, se) = (events(heap.detach_sink()), events(shard.detach_sink()));
+        assert_eq!(he.len(), 64 + 4 + 64 + 16 + 1, "every access is announced");
+        assert_eq!(he, se, "attached sinks see identical event streams");
     }
 
     #[test]
@@ -757,14 +826,35 @@ mod tests {
 
     #[test]
     fn guard_page_faults_match_simheap_messages() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        fn message(f: impl FnOnce()) -> String {
+            let err = catch_unwind(AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        }
         let space = SharedSpace::new(SpaceConfig::default());
         let mut shard = space.shard(0);
-        shard.try_sbrk_pages(1).unwrap();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shard.load_u32(Addr::new(4));
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("null/guard page"), "got: {msg}");
+        let mut heap = SimHeap::new();
+        let base = shard.try_sbrk_pages(1).unwrap();
+        heap.sbrk_pages(1);
+        let past = base + PAGE_SIZE;
+        let cases: [(&str, Addr, &str); 6] = [
+            ("load", Addr::new(4), "null/guard page"),
+            ("load", base + 2, "misaligned load"),
+            ("store", base + 6, "misaligned store"),
+            ("load", past, "past break"),
+            ("store", past, "past break"),
+            ("store", past - 2, "past break"),
+        ];
+        for (op, addr, want) in cases {
+            let (h, s) = if op == "load" {
+                (message(|| _ = heap.load_u32(addr)), message(|| _ = shard.load_u32(addr)))
+            } else {
+                (message(|| heap.store_u32(addr, 1)), message(|| shard.store_u32(addr, 1)))
+            };
+            assert!(s.contains(want), "{op} at {addr}: got {s}");
+            assert_eq!(h, s, "{op} at {addr}: shard and SimHeap messages differ");
+        }
+        assert_eq!(HeapBackend::load_count(&shard), 0, "faulting loads charge nothing");
+        assert_eq!(HeapBackend::store_count(&shard), 0, "faulting stores charge nothing");
     }
 }

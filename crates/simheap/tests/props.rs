@@ -406,9 +406,14 @@ proptest! {
                     HeapBackend::fill(&mut shard, base_h + off, len, byte);
                 }
                 TraitOp::Range { woff, len } => {
-                    let a = HeapBackend::load_u32_range(&mut sim, base_s + woff * WORD, len, WORD);
-                    let b = HeapBackend::load_u32_range(&mut shard, base_h + woff * WORD, len, WORD);
-                    prop_assert_eq!(a, b);
+                    HeapBackend::load_u32_range(&mut sim, base_s + woff * WORD, len, WORD);
+                    HeapBackend::load_u32_range(&mut shard, base_h + woff * WORD, len, WORD);
+                    for i in woff..woff + len {
+                        prop_assert_eq!(
+                            HeapBackend::peek_u32(&sim, base_s + i * WORD),
+                            HeapBackend::peek_u32(&shard, base_h + i * WORD)
+                        );
+                    }
                 }
             }
         }
