@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify plus a smoke pass of every benchmark
-# binary at --quick scale. Fails fast on the first error.
+# binary at --quick scale. Fails fast on the first error. --quick runs
+# write their results documents under target/results/, never over the
+# committed results/ (checked at the end).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -71,12 +73,11 @@ echo "== world snapshots: v1 still reads, v2 round-trips =="
 # with typed errors, and a restored world re-captures byte-identically.
 cargo test -q -p region-core --lib world
 
-echo "== shard A/B (records BENCH_shard quick variant) =="
+echo "== shard A/B (writes target/results/shard_ab.json) =="
 # Private SimHeap vs W=1 shard books bit-identical; the 4-shard shared
-# world digest thread-count-independent. The committed BENCH_shard.json
-# is the default-scale record; the quick rerun goes to target/.
-BENCH_SHARD_OUT=target/BENCH_shard_quick.json \
-    ./target/release/par_regions --shard-ab --quick >/dev/null
+# world digest thread-count-independent. The committed
+# results/shard_ab.json is the default-scale record.
+./target/release/par_regions --shard-ab --quick >/dev/null
 
 echo "== chaos soak (fault injection + sanitizer + VM), --quick =="
 ./target/release/chaos --quick >/dev/null
@@ -91,21 +92,18 @@ echo "== region service under adversity (deadlines, backpressure, quarantine) ==
 # Quick soak of the long-lived region service: books asserted
 # byte-identical at 1/2/4 OS threads and across a same-seed rerun,
 # ledger conserved, every quarantined region reaped. The committed
-# BENCH_server.json is the full-scale record; the quick rerun goes to
-# target/ so it can't clobber it.
-REGION_SANITIZE=1 BENCH_SERVER_OUT=target/BENCH_server_quick.json \
-    ./target/release/server --quick >/dev/null
+# results/server.json is the full-scale record.
+REGION_SANITIZE=1 ./target/release/server --quick >/dev/null
 
 echo "== deleteregion budget sweep (inf vs 64 vs 1, DESIGN §17) =="
 # The server binary already asserts the encoded books byte-identical
 # against one opposite-budget arm internally; this sweep additionally
-# proves the results-v3 envelope (checksums, allocs, pages) identical
-# across an unbounded, a 64-unit and a 1-unit deletion budget — only
-# the wall-clock and pause columns may drift (--ignore-time).
+# proves every exact cell (books digest, ledger, pages) identical across
+# an unbounded, a 64-unit and a 1-unit deletion budget — only the time
+# and latency cells (pauses, increment counts) may drift (--ignore-time).
 for b in inf 64 1; do
-    REGION_SANITIZE=1 BENCH_SERVER_OUT="target/BENCH_server_b$b.json" \
-        ./target/release/server --quick --delete-budget "$b" >/dev/null
-    cp results/server.json "target/server_b$b.json"
+    REGION_SANITIZE=1 ./target/release/server --quick --delete-budget "$b" >/dev/null
+    cp target/results/server.json "target/server_b$b.json"
 done
 ./target/release/compare_results target/server_binf.json target/server_b64.json --ignore-time >/dev/null
 ./target/release/compare_results target/server_b64.json target/server_b1.json --ignore-time >/dev/null
@@ -122,14 +120,12 @@ echo "== elision differential (vm-chaos A/B, sanitize on) =="
 REGION_SANITIZE=1 ./target/release/chaos --quick --scenario vm-chaos >/dev/null
 REGION_SANITIZE=1 cargo test -q -p cq-lang
 
-echo "== elision A/B on the workload suite (records BENCH_elision.json) =="
+echo "== elision A/B on the workload suite (writes target/results/elision_ab.json) =="
 # Interleaved min-of-N with the hand-annotated sameregion stores off/on;
 # asserts identical checksums, a conserved barrier split, deterministic
 # counters across reps, and a reduction on grobner/tile/mudlle. The
-# committed BENCH_elision.json is the default-scale record; the quick
-# rerun goes to target/ so it can't clobber it.
-BENCH_ELISION_OUT=target/BENCH_elision_quick.json \
-    ./target/release/fig11 --elision-ab --quick >/dev/null
+# committed results/elision_ab.json is the default-scale record.
+./target/release/fig11 --elision-ab --quick >/dev/null
 
 echo "== REGION_SANITIZE=1 smoke (one fig8 row, audited after the run) =="
 REGION_SANITIZE=1 ./target/release/fig8 --quick --only tile >/dev/null
@@ -142,21 +138,15 @@ echo "== scan-batching parity under the sanitizer =="
 REGION_SANITIZE=1 cargo test -q -p simheap --test props
 REGION_SANITIZE=1 cargo test -q -p conservative-gc --test scan_parity
 
-echo "== results schema self-compare =="
-./target/release/compare_results results/fig8.json results/fig8.json --ignore-time >/dev/null
-# fig10 was re-recorded after the range conversions; the quick run above
-# rewrote it, so this checks the committed counters survived the rewrite.
-./target/release/compare_results results/fig10.json results/fig10.json --ignore-time >/dev/null
-# fig11/cq_bench now carry the barriers_elided column (missing-as-zero
-# for documents recorded before it existed); the quick runs above wrote
-# them with elision off/on respectively.
-./target/release/compare_results results/fig11.json results/fig11.json --ignore-time >/dev/null
-./target/release/compare_results results/cq_bench.json results/cq_bench.json --ignore-time >/dev/null
-# server carries the p50_us/p99_us/p999_us latency columns
-# (missing-as-equal for older documents, drift is always a warning);
-# the quick run above rewrote it, so this also proves the quick books
-# survived the rewrite.
-./target/release/compare_results results/server.json results/server.json >/dev/null
+echo "== results rerun checks (deterministic cells identical across runs) =="
+# A second --quick run of each figure must reproduce every exact cell of
+# the first (counters, stall cycles, checksums); time cells may drift.
+for bin in fig8 fig10 fig11 cq_bench; do
+    cp "target/results/$bin.json" "target/results/$bin.first.json"
+    ./target/release/"$bin" --quick >/dev/null
+    ./target/release/compare_results "target/results/$bin.first.json" \
+        "target/results/$bin.json" --ignore-time >/dev/null
+done
 
 echo "== repo benchmark self-test (books, audit, injected-fault gates) =="
 # Tiny traced and untraced runs of every BENCHMARK.json workload: books
@@ -166,5 +156,8 @@ python3 perfbench/selftest.py
 
 echo "== criterion benches, quick mode =="
 BENCH_QUICK=1 cargo bench -p bench-harness >/dev/null
+
+echo "== committed results untouched =="
+git diff --quiet -- results/
 
 echo "ci.sh: all green"

@@ -12,15 +12,15 @@
 //! By default each program is also compiled with the §3.3 *sameregion*
 //! inference pass ([`cq_lang::compile_elide`]) and run a third time; the
 //! `elided` and `safety(el)` columns show how many barriers the static
-//! analysis removed and what safety work remains. `--no-elide` (or
-//! `CQ_ELIDE=0`) keeps the paper-faithful codegen only. All VM runs —
+//! analysis removed and what safety work remains. `--no-elide` keeps
+//! the paper-faithful codegen only. All VM runs —
 //! untrusted compiled programs — execute under the bench supervisor
 //! (deadline + panic containment), and a results/cq_bench.json envelope
 //! is written alongside the table.
 
 use std::time::{Duration, Instant};
 
-use bench_harness::runner::{bench_workers, write_results_json, Measurement};
+use bench_harness::runner::{bench_workers, write_results, Measurement};
 use bench_harness::supervise::{supervise, JobOutcome, SuperviseConfig};
 use cq_lang::bytecode::Program;
 use cq_lang::{compile, compile_elide, Vm};
@@ -158,13 +158,10 @@ fn run_vm(program: Program, mode: SafetyMode) -> RunRec {
     }
 }
 
-/// `--no-elide` flag or `CQ_ELIDE=0` keeps the paper-faithful codegen
-/// (no sameregion inference) as the only safe build.
+/// The `--no-elide` flag keeps the paper-faithful codegen (no
+/// sameregion inference) as the only safe build.
 fn elide_enabled() -> bool {
-    if std::env::args().any(|a| a == "--no-elide") {
-        return false;
-    }
-    !std::env::var("CQ_ELIDE").is_ok_and(|v| v == "0")
+    !std::env::args().any(|a| a == "--no-elide")
 }
 
 fn checksum(output: &[i32]) -> u64 {
@@ -314,7 +311,9 @@ fn main() {
             });
         }
     }
-    match write_results_json("cq_bench", &rows) {
+    // The programs have one fixed size: the document records scale 1.
+    let doc: Vec<_> = rows.iter().map(Measurement::row).collect();
+    match write_results("cq_bench", 1, &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nfailed to write results json: {e}"),
     }

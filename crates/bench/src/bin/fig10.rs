@@ -13,9 +13,7 @@ use bench_harness::diff::snapshot_divergence;
 use bench_harness::golden::{
     golden_path, golden_state_path, record_region_state, record_region_trace, GoldenTrace,
 };
-use bench_harness::runner::{
-    run_matrix, scale_from_env, write_results_json, Job, Measurement,
-};
+use bench_harness::runner::{run_matrix, scale_from_env, write_results, Job, Measurement};
 use workloads::{MallocKind, RegionKind, Workload};
 
 fn kstalls(m: &Measurement) -> (f64, f64) {
@@ -176,7 +174,8 @@ fn main() {
             );
         }
     }
-    match write_results_json("fig10", &rows) {
+    let doc: Vec<_> = rows.iter().map(Measurement::row).collect();
+    match write_results("fig10", scale, &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }

@@ -9,14 +9,13 @@
 //! (using the paper's own 16/23-instruction barrier costs).
 //!
 //! The `elided` column counts barriers replaced by the 2-instruction
-//! unbarriered store thanks to *sameregion* annotations (§3.3). It is
-//! zero unless `BENCH_ELIDE=1`, so the committed counters reproduce by
-//! default. `--elision-ab` runs the interleaved min-of-N A/B instead
-//! and records `BENCH_elision.json` at the repo root.
+//! unbarriered store thanks to *sameregion* annotations (§3.3). The
+//! figure runs paper-faithful codegen, so it is zero here;
+//! `--elision-ab` runs the interleaved min-of-N A/B instead and writes
+//! it as `results/elision_ab.json`.
 
 use bench_harness::runner::{
-    host_cores, measure_region, measure_region_elide, scale_from_env, today_utc,
-    write_results_json, Measurement,
+    measure_region, measure_region_elide, scale_from_env, write_results, Cell, Measurement, Row,
 };
 use workloads::{RegionKind, Workload};
 
@@ -55,7 +54,8 @@ fn main() {
         rows.push(safe);
         rows.push(unsafe_);
     }
-    match write_results_json("fig11", &rows) {
+    let doc: Vec<_> = rows.iter().map(Measurement::row).collect();
+    match write_results("fig11", scale, &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nfailed to write results json: {e}"),
     }
@@ -67,9 +67,11 @@ fn main() {
 
 /// Interleaved min-of-N A/B of the hand-annotated *sameregion* stores:
 /// for each workload, alternate elision-off and elision-on runs, keep
-/// the fastest wall clock per arm, and demand bit-identical checksums
-/// plus a conserved barrier split. Panics (failing CI) if the counters
-/// drift between repetitions or the flagship workloads stop eliding.
+/// the fastest run per arm, and demand bit-identical checksums plus a
+/// conserved barrier split. Panics (failing CI) if the counters drift
+/// between repetitions or the flagship workloads stop eliding. Each arm
+/// is one row of `elision_ab.json` (`base`, `elide`), with the full
+/// barriers that remain as an extra exact cell.
 fn elision_ab(scale: u32) {
     const REPS: usize = 3;
     println!("Elision A/B: sameregion barrier elision, scale {scale}, min of {REPS}");
@@ -77,33 +79,37 @@ fn elision_ab(scale: u32) {
         "{:<9} {:>13} {:>13} {:>10} {:>8} {:>10} {:>10}",
         "Name", "safety-base", "safety-elide", "reduction", "elided", "ms(base)", "ms(elide)"
     );
-    let mut blocks: Vec<String> = Vec::new();
-    for w in Workload::ALL {
-        let mut base: Option<Measurement> = None;
-        let mut opt: Option<Measurement> = None;
-        let (mut base_ms, mut opt_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..REPS {
-            let a = measure_region_elide(w, RegionKind::Safe, scale, false);
-            let b = measure_region_elide(w, RegionKind::Safe, scale, true);
-            base_ms = base_ms.min(a.total.as_secs_f64() * 1e3);
-            opt_ms = opt_ms.min(b.total.as_secs_f64() * 1e3);
-            for (rep, prev) in [(&a, &base), (&b, &opt)] {
-                if let Some(p) = prev {
-                    assert_eq!(p.checksum, rep.checksum, "{}: checksum drift across reps", w.name());
-                    assert_eq!(p.costs, rep.costs, "{}: cost drift across reps", w.name());
+    // Keeps the fastest rep, asserting every rep's counters agree.
+    fn keep_min(best: &mut Option<Measurement>, m: Measurement) {
+        match best {
+            Some(p) => {
+                assert_eq!(p.checksum, m.checksum, "{}: checksum drift across reps", m.workload);
+                assert_eq!(p.costs, m.costs, "{}: cost drift across reps", m.workload);
+                if m.total < p.total {
+                    *p = m;
                 }
             }
-            base = Some(a);
-            opt = Some(b);
+            None => *best = Some(m),
         }
-        let (base, opt) = (base.unwrap(), opt.unwrap());
+    }
+    let mut rows: Vec<Row> = Vec::new();
+    for w in Workload::ALL {
+        let (mut base, mut opt) = (None, None);
+        for _ in 0..REPS {
+            keep_min(&mut base, measure_region_elide(w, RegionKind::Safe, scale, false));
+            keep_min(&mut opt, measure_region_elide(w, RegionKind::Safe, scale, true));
+        }
+        let (mut base, mut opt) = (base.expect("REPS > 0"), opt.expect("REPS > 0"));
         assert_eq!(base.checksum, opt.checksum, "{}: elision changed the answer", w.name());
         let cb = base.costs.expect("safe run");
         let co = opt.costs.expect("safe run");
+        let full = |c: &region_core::SafetyCosts| {
+            c.barriers_global + c.barriers_region + c.barriers_unknown
+        };
         assert_eq!(cb.barriers_elided, 0, "{}: baseline must not elide", w.name());
         assert_eq!(
-            cb.barriers_global + cb.barriers_region + cb.barriers_unknown,
-            co.barriers_global + co.barriers_region + co.barriers_unknown + co.barriers_elided,
+            full(&cb),
+            full(&co) + co.barriers_elided,
             "{}: barrier split not conserved",
             w.name()
         );
@@ -119,8 +125,8 @@ fn elision_ab(scale: u32) {
             co.total_instrs(),
             reduction,
             co.barriers_elided,
-            base_ms,
-            opt_ms,
+            base.total.as_secs_f64() * 1e3,
+            opt.total.as_secs_f64() * 1e3,
         );
         if matches!(w, Workload::Grobner | Workload::Tile | Workload::Mudlle) {
             assert!(co.barriers_elided > 0, "{}: expected elided barriers", w.name());
@@ -130,43 +136,16 @@ fn elision_ab(scale: u32) {
                 w.name()
             );
         }
-        blocks.push(format!(
-            "    \"{}\": {{ \"safety_instrs_base\": {}, \"safety_instrs_elided\": {}, \
-             \"instr_reduction_pct\": {:.2}, \"barriers_full_base\": {}, \
-             \"barriers_full_elided\": {}, \"barriers_elided\": {}, \
-             \"min_total_ms_base\": {:.1}, \"min_total_ms_elided\": {:.1} }}",
-            w.name(),
-            cb.total_instrs(),
-            co.total_instrs(),
-            reduction,
-            cb.barriers_global + cb.barriers_region + cb.barriers_unknown,
-            co.barriers_global + co.barriers_region + co.barriers_unknown,
-            co.barriers_elided,
-            base_ms,
-            opt_ms,
-        ));
+        base.allocator = "base";
+        opt.allocator = "elide";
+        rows.push(base.row().with("barriers_full", Cell::Exact(full(&cb))));
+        rows.push(opt.row().with("barriers_full", Cell::Exact(full(&co))));
     }
-    let json = format!(
-        "{{\n  \"comment\": \"Sameregion barrier elision A/B: per-workload safe runs with the \
-         hand-annotated elidable stores off vs on, interleaved, min of {REPS}. Counters are \
-         deterministic (asserted across reps); wall times are the min. Elided stores charge \
-         2 instrs instead of the Figure-5 16/23/31.\",\n  \
-         \"date\": \"{}\",\n  \"host\": {{ \"cores\": {}, \"os\": \"{}\" }},\n  \
-         \"scale\": {scale},\n  \"reps\": {REPS},\n  \"workloads\": {{\n{}\n  }}\n}}\n",
-        today_utc(),
-        host_cores(),
-        std::env::consts::OS,
-        blocks.join(",\n"),
-    );
-    // `BENCH_ELISION_OUT` redirects the record (CI's --quick smoke must
-    // not clobber the committed default-scale BENCH_elision.json).
-    let out = std::env::var("BENCH_ELISION_OUT").unwrap_or_else(|_| "BENCH_elision.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
+    match write_results("elision_ab", scale, &rows) {
+        Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {
-            eprintln!("failed to write {out}: {e}");
+            eprintln!("failed to write elision_ab results: {e}");
             std::process::exit(1);
         }
     }
 }
-

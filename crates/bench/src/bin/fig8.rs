@@ -10,8 +10,8 @@
 //! row — handy for CI smoke runs (e.g. the `REGION_SANITIZE=1` check).
 
 use bench_harness::runner::{
-    kb, pages_kb, par_bench_workers, run_matrix, run_matrix_with, scale_from_env,
-    write_results_json_with_par, Job, ParColumn,
+    kb, pages_kb, par_bench_workers, run_matrix, run_matrix_with, scale_from_env, write_results,
+    Cell, Job,
 };
 use workloads::{MallocKind, RegionKind, Workload};
 
@@ -123,11 +123,12 @@ fn main() {
     // A filtered run is a smoke check, not the artifact: only the full
     // matrix may replace results/fig8.json.
     if only.is_none() {
-        let par = ParColumn {
-            workers: par_workers,
-            total_ms: par_rows.iter().map(|m| ms(m.total)).collect(),
-        };
-        match write_results_json_with_par("fig8", &rows, Some(&par)) {
+        let doc: Vec<_> = rows
+            .iter()
+            .zip(&par_rows)
+            .map(|(s, p)| s.row().with("par_total_ms", Cell::ParTime(ms(p.total))))
+            .collect();
+        match write_results("fig8", scale, &doc) {
             Ok(path) => println!("\nwrote {}", path.display()),
             Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
         }

@@ -11,21 +11,20 @@
 //! matter how the schedule interleaved.
 //!
 //! The run is timed at one worker and at `BENCH_WORKERS` (default: the
-//! machine) workers, and writes a schema-v3 results envelope (which
-//! records the worker count alongside the rows) to
-//! `results/par_regions.json`. The checksum folds only
-//! schedule-independent facts (regions created, operations performed,
-//! final liveness, final global counts, and the pool auditor's
-//! counters), so for a fixed worker count it is identical across runs
-//! no matter how the threads interleaved: an interleaving-dependent
-//! digest would make the row useless as a regression anchor.
+//! machine) workers, and writes a results document (which records the
+//! worker count alongside the rows) as `par_regions.json`. The
+//! checksum folds only schedule-independent facts (regions created,
+//! operations performed, final liveness, final global counts, and the
+//! pool auditor's counters), so for a fixed worker count it is
+//! identical across runs no matter how the threads interleaved: an
+//! interleaving-dependent digest would make the row useless as a
+//! regression anchor.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use bench_harness::runner::{
-    bench_workers, host_cores, par_bench_workers, scale_from_env, today_utc, write_results_json,
-    Measurement,
+    bench_workers, par_bench_workers, scale_from_env, write_results, Cell, Measurement, Row,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -382,9 +381,8 @@ fn ab_arm<H: HeapBackend>(rt: RegionRuntime<H>, ops: u64) -> (f64, u64, u64, u64
     (wall, digest, created, rt.heap().load_count(), rt.heap().store_count(), rt.heap().brk().raw())
 }
 
-/// Interleaved A/B for the sharded space, recorded as `BENCH_shard.json`
-/// (`BENCH_SHARD_OUT` redirects, so CI's quick smoke does not clobber
-/// the committed default-scale record). Two comparisons:
+/// Interleaved A/B for the sharded space, written as `shard_ab.json`.
+/// Two comparisons:
 ///
 /// 1. **private vs W=1 shard** — the same deterministic script on a
 ///    private `SimHeap` and on the single shard of a one-worker shared
@@ -395,7 +393,10 @@ fn ab_arm<H: HeapBackend>(rt: RegionRuntime<H>, ops: u64) -> (f64, u64, u64, u64
 ///
 /// Arms alternate within each rep (A/B/A/B…) so thermal drift cancels;
 /// wall times are the min over reps; every counter is asserted
-/// deterministic across arms *and* reps.
+/// deterministic across arms *and* reps. Rows: `shard_script/private`
+/// and `shard_script/shard1` (books and wall time of each arm), and
+/// `shared_world/shards4` (digest, 1-thread time, and the N-thread time
+/// as the parallel-pass column).
 fn shard_ab(scale: u32) {
     const REPS: usize = 3;
     let ops = SHARD_OPS_PER_SCALE * u64::from(scale);
@@ -449,29 +450,27 @@ fn shard_ab(scale: u32) {
          threads; min {one_ms:.1} ms vs {n_ms:.1} ms"
     );
 
-    let json = format!(
-        "{{\n  \"comment\": \"Sharded-space A/B: one deterministic region script on a private \
-         SimHeap vs the single shard of a one-worker shared space (books bit-identical, \
-         asserted), and the {LOGICAL_SHARDS}-shard shared world driven by 1 vs {threads} OS \
-         threads (digest schedule-independent, asserted). Interleaved, min of {REPS}; counters \
-         deterministic across arms and reps.\",\n  \
-         \"date\": \"{}\",\n  \"host\": {{ \"cores\": {}, \"os\": \"{}\" }},\n  \
-         \"scale\": {scale},\n  \"reps\": {REPS},\n  \
-         \"private_vs_shard\": {{ \"digest\": \"{digest:016x}\", \"regions\": {regions}, \
-         \"loads\": {loads}, \"stores\": {stores}, \"brk\": {brk}, \
-         \"min_total_ms_private\": {priv_ms:.1}, \"min_total_ms_shard\": {shard_ms:.1} }},\n  \
-         \"shared_world\": {{ \"digest\": \"{shared_digest:016x}\", \"logical_shards\": \
-         {LOGICAL_SHARDS}, \"threads_ab\": [1, {threads}], \"min_total_ms_1_thread\": \
-         {one_ms:.1}, \"min_total_ms_n_threads\": {n_ms:.1} }}\n}}\n",
-        today_utc(),
-        host_cores(),
-        std::env::consts::OS,
-    );
-    let out = std::env::var("BENCH_SHARD_OUT").unwrap_or_else(|_| "BENCH_shard.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
+    let script = |arm: &str, ms: f64| {
+        Row::new("shard_script", arm)
+            .with("total_ms", Cell::Time(ms))
+            .with("regions", Cell::Exact(regions))
+            .with("loads", Cell::Exact(loads))
+            .with("stores", Cell::Exact(stores))
+            .with("brk", Cell::Exact(u64::from(brk)))
+            .with("checksum", Cell::Exact(digest))
+    };
+    let rows = [
+        script("private", priv_ms),
+        script("shard1", shard_ms),
+        Row::new("shared_world", &format!("shards{LOGICAL_SHARDS}"))
+            .with("total_ms", Cell::Time(one_ms))
+            .with("par_total_ms", Cell::ParTime(n_ms))
+            .with("checksum", Cell::Exact(shared_digest)),
+    ];
+    match write_results("shard_ab", scale, &rows) {
+        Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {
-            eprintln!("failed to write {out}: {e}");
+            eprintln!("failed to write shard_ab results: {e}");
             std::process::exit(1);
         }
     }
@@ -545,7 +544,8 @@ fn main() {
         measurement("shard1", &shard1),
         measurement("shardN", &shardn),
     ];
-    match write_results_json("par_regions", &rows) {
+    let rows: Vec<_> = rows.iter().map(Measurement::row).collect();
+    match write_results("par_regions", scale, &rows) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }

@@ -17,12 +17,15 @@
 //! before reporting. Wall-clock throughput and p50/p99/p999 request
 //! latency are reported alongside but never folded into the books.
 //!
-//! Writes a schema-v3 results envelope with the tail-latency columns
-//! to `results/server.json`, plus the richer `BENCH_server.json`
-//! record (`BENCH_SERVER_OUT` redirects, so CI's quick smoke does not
-//! clobber the committed default-scale record).
+//! Writes `server.json` with three rows: the 1-thread run (`svc1`), the
+//! N-thread run (`svcN`), and the N-thread run replayed at the opposite
+//! deletion budget (`replay`: unbounded for the recorded default of
+//! 64). Each row carries the books (ledger, footprint, quarantine,
+//! digest) as exact cells and the request-latency and deletion-pause
+//! shape as latency cells. The full config records scale 2, `--quick`
+//! scale 1.
 
-use bench_harness::runner::{host_cores, today_utc, write_results_json_full, LatencyColumn};
+use bench_harness::runner::{write_results, Cell, Row};
 use bench_harness::{install_service_panic_filter, run_service, Measurement, ServiceConfig, ServiceReport};
 
 /// Thread counts the books must be invariant across. The last entry is
@@ -46,6 +49,42 @@ fn measurement(label: &'static str, r: &ServiceReport) -> Measurement {
         cache: None,
         checksum: r.digest,
     }
+}
+
+/// One `server.json` row: the measurement cells, then the books and the
+/// latency and pause shape of `r`.
+fn row(label: &'static str, r: &ServiceReport) -> Row {
+    let l = &r.ledger;
+    let mut row = measurement(label, r).row();
+    for (col, v) in [
+        ("p50_us", r.p50_us()),
+        ("p99_us", r.p99_us()),
+        ("p999_us", r.p999_us()),
+        ("pause_p50_us", r.pause_p50_us()),
+        ("pause_p99_us", r.pause_p99_us()),
+        ("pause_max_us", r.pause_max_us()),
+        // How many increments the deletions took depends on the budget,
+        // which the budget sweep varies on purpose: pause shape, not books.
+        ("pause_increments", r.pause_ns.len() as f64),
+    ] {
+        row = row.with(col, Cell::Latency(v));
+    }
+    for (col, v) in [
+        ("submitted", l.submitted),
+        ("completed", l.completed),
+        ("shed", l.shed),
+        ("failed", l.failed),
+        ("retries", l.retries),
+        ("degraded", l.degraded),
+        ("faults", l.faults),
+        ("panics", l.panics),
+        ("final_pages", r.final_pages),
+        ("quarantined", r.quarantined),
+        ("reaped", r.reaped),
+    ] {
+        row = row.with(col, Cell::Exact(v));
+    }
+    row
 }
 
 fn print_report(threads: usize, r: &ServiceReport) {
@@ -163,24 +202,24 @@ fn main() {
 
     // Budget A/B: the books must also be invariant across the deletion
     // budget — incremental mode changes when deletion work runs, never
-    // what it does. The stop-the-world run doubles as the pause-time
-    // baseline for the report.
+    // what it does. The replay at the opposite budget doubles as the
+    // pause-time baseline for the report.
     let other_budget = if cfg.delete_budget == u64::MAX { 64 } else { u64::MAX };
-    let stw = run_service(&ServiceConfig {
+    let replay = run_service(&ServiceConfig {
         threads: last,
         delete_budget: other_budget,
         ..cfg
     });
     assert_eq!(
         books,
-        stw.encode_books(),
+        replay.encode_books(),
         "books must not depend on the deletion budget ({budget_str} vs {other_budget})"
     );
-    let (inc, mono) =
-        if cfg.delete_budget == u64::MAX { (&stw, &reports[THREAD_AB.len() - 1]) } else { (&reports[THREAD_AB.len() - 1], &stw) };
-
     let r1 = &reports[0];
     let rn = &reports[THREAD_AB.len() - 1];
+    let (budgeted, unbounded) =
+        if cfg.delete_budget == u64::MAX { (&replay, rn) } else { (rn, &replay) };
+
     assert!(rn.ledger.conserves(), "ledger must conserve");
     println!(
         "  ledger conserved: {} submitted == {} completed + {} shed + {} failed",
@@ -194,14 +233,14 @@ fn main() {
     );
     println!(
         "  deleteregion pauses: budgeted p50 {:.2} us, p99 {:.2} us, max {:.2} us \
-         over {} increments — stop-the-world p99 {:.2} us, max {:.2} us over {}",
-        inc.pause_p50_us(),
-        inc.pause_p99_us(),
-        inc.pause_max_us(),
-        inc.pause_ns.len(),
-        mono.pause_p99_us(),
-        mono.pause_max_us(),
-        mono.pause_ns.len(),
+         over {} increments — unbounded budget p99 {:.2} us, max {:.2} us over {}",
+        budgeted.pause_p50_us(),
+        budgeted.pause_p99_us(),
+        budgeted.pause_max_us(),
+        budgeted.pause_ns.len(),
+        unbounded.pause_p99_us(),
+        unbounded.pause_max_us(),
+        unbounded.pause_ns.len(),
     );
     println!(
         "  footprint high-water {} pages (final {}), {} quarantined, {} reaped, \
@@ -213,101 +252,11 @@ fn main() {
         rn.digest, THREAD_AB
     );
 
-    let rows = [measurement("svc1", r1), measurement("svcN", rn)];
-    let lat = LatencyColumn {
-        p50_us: vec![r1.p50_us(), rn.p50_us()],
-        p99_us: vec![r1.p99_us(), rn.p99_us()],
-        p999_us: vec![r1.p999_us(), rn.p999_us()],
-        pause_p50_us: vec![r1.pause_p50_us(), rn.pause_p50_us()],
-        pause_p99_us: vec![r1.pause_p99_us(), rn.pause_p99_us()],
-    };
-    match write_results_json_full("server", &rows, None, Some(&lat)) {
+    let rows = [row("svc1", r1), row("svcN", rn), row("replay", &replay)];
+    match write_results("server", if quick { 1 } else { 2 }, &rows) {
         Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
-    }
-
-    let l = &rn.ledger;
-    let json = format!(
-        "{{\n  \"comment\": \"Region service under adversity: {} sessions serving seeded \
-         request traffic on one shared address space, with injected allocation faults \
-         (bounded deterministic retry), injected worker panics (quarantine + reap), \
-         footprint watermarks (degrade, then shed with a typed error), and a rotating \
-         pointer-bearing index region whose deletion runs through the incremental \
-         deleteregion budget. Books asserted byte-identical at 1/2/{last} OS threads, \
-         across same-seed reruns, and across the deletion budget (bounded vs \
-         stop-the-world); ledger conserved (submitted == completed + shed + failed); \
-         clean audit and sanitize every round. Latencies and pauses are wall clock and \
-         excluded from the books; latency_stw_us replays the identical run with the \
-         monolithic deleteregion for the pause-time A/B.\",\n  \
-         \"date\": \"{}\",\n  \"host\": {{ \"cores\": {}, \"os\": \"{}\" }},\n  \
-         \"config\": {{ \"seed\": {seed}, \"quick\": {quick}, \"sessions\": {}, \
-         \"requests_per_session\": {}, \"rounds\": {}, \"soft_pages\": {}, \
-         \"hard_pages\": {}, \"max_attempts\": {}, \"fault_one_in\": {}, \
-         \"panic_one_in\": {}, \"delete_budget\": \"{budget_str}\", \
-         \"index_allocs\": {}, \"index_rotate\": {}, \"open_loop_period_ns\": {} }},\n  \
-         \"ledger\": {{ \"submitted\": {}, \"completed\": {}, \"shed\": {}, \
-         \"failed\": {}, \"retries\": {}, \"degraded\": {}, \"faults\": {}, \
-         \"panics\": {} }},\n  \
-         \"latency_us\": {{ \"p50\": {:.3}, \"p99\": {:.3}, \"p999\": {:.3} }},\n  \
-         \"latency_stw_us\": {{ \"p50\": {:.3}, \"p99\": {:.3}, \"p999\": {:.3} }},\n  \
-         \"pause_us\": {{ \"p50\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}, \
-         \"increments\": {} }},\n  \
-         \"pause_stw_us\": {{ \"p50\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}, \
-         \"increments\": {} }},\n  \
-         \"throughput_rps\": {:.0},\n  \
-         \"footprint\": {{ \"high_water_pages\": {}, \"final_pages\": {} }},\n  \
-         \"isolation\": {{ \"quarantined\": {}, \"reaped\": {}, \"sanitize_runs\": {} }},\n  \
-         \"books\": \"{:016x}\",\n  \"threads_ab\": [1, 2, {last}]\n}}\n",
-        cfg.sessions,
-        today_utc(),
-        host_cores(),
-        std::env::consts::OS,
-        cfg.sessions,
-        cfg.requests_per_session,
-        cfg.rounds,
-        cfg.marks.soft_pages,
-        cfg.marks.hard_pages,
-        cfg.max_attempts,
-        cfg.fault_one_in,
-        cfg.panic_one_in,
-        cfg.index_allocs,
-        cfg.index_rotate,
-        cfg.open_loop_period_ns,
-        l.submitted,
-        l.completed,
-        l.shed,
-        l.failed,
-        l.retries,
-        l.degraded,
-        l.faults,
-        l.panics,
-        inc.p50_us(),
-        inc.p99_us(),
-        inc.p999_us(),
-        mono.p50_us(),
-        mono.p99_us(),
-        mono.p999_us(),
-        inc.pause_p50_us(),
-        inc.pause_p99_us(),
-        inc.pause_max_us(),
-        inc.pause_ns.len(),
-        mono.pause_p50_us(),
-        mono.pause_p99_us(),
-        mono.pause_max_us(),
-        mono.pause_ns.len(),
-        rn.throughput_rps(),
-        rn.high_water_pages,
-        rn.final_pages,
-        rn.quarantined,
-        rn.reaped,
-        rn.sanitize_runs,
-        rn.digest,
-    );
-    let out = std::env::var("BENCH_SERVER_OUT").unwrap_or_else(|_| "BENCH_server.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {out}"),
         Err(e) => {
-            eprintln!("failed to write {out}: {e}");
+            eprintln!("\nfailed to write server results: {e}");
             std::process::exit(1);
         }
     }

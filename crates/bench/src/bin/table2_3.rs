@@ -8,7 +8,7 @@
 //! All cells run in parallel on worker threads; rows print in matrix
 //! order.
 
-use bench_harness::runner::{kb, run_matrix, scale_from_env, write_results_json, Job};
+use bench_harness::runner::{kb, run_matrix, scale_from_env, write_results, Job, Measurement};
 use workloads::{MallocKind, RegionKind, Workload};
 
 fn main() {
@@ -82,7 +82,8 @@ fn main() {
             );
         }
     }
-    match write_results_json("table2_3", &rows) {
+    let doc: Vec<_> = rows.iter().map(Measurement::row).collect();
+    match write_results("table2_3", scale, &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }

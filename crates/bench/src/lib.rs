@@ -27,10 +27,9 @@ pub mod supervise;
 
 pub use diff::changed_lines;
 pub use runner::{
-    bench_workers, host_cores, measure_malloc, measure_region, measure_region_slow, results_json,
-    results_json_full, run_matrix, run_matrix_checked, run_matrix_with, scale_from_env,
-    write_results_json, write_results_json_full, Job, LatencyColumn, Measurement,
-    RESULTS_SCHEMA_VERSION,
+    bench_workers, host_cores, measure_malloc, measure_region, measure_region_slow, run_matrix,
+    run_matrix_checked, run_matrix_with, scale_from_env, write_results, Cell, Job, Measurement,
+    Row, RESULTS_SCHEMA_VERSION,
 };
 pub use server::{
     install_service_panic_filter, run_service, Ledger, ServiceConfig, ServiceReport,

@@ -9,6 +9,7 @@ use region_core::{AllocStats, SafetyCosts};
 use simheap::SimHeap;
 use workloads::{MallocEnv, MallocKind, RegionEnv, RegionKind, Workload};
 
+use crate::results::ColumnKind;
 use crate::supervise::{supervise, JobOutcome, SuperviseConfig};
 
 /// Locks the warm-heap pool, tolerating poison: a panic inside a matrix
@@ -118,26 +119,16 @@ pub fn measure_malloc_on(
     (m, heap)
 }
 
-/// Whether benchmark region runs elide hand-annotated *sameregion*
-/// barriers (`BENCH_ELIDE=1`). Off by default, so every published
-/// counter reproduces; the elision A/B turns it on per run instead.
-pub fn elide_from_env() -> bool {
-    std::env::var("BENCH_ELIDE").is_ok_and(|v| v == "1")
-}
-
 /// Runs the region variant of a workload under one region backend.
 pub fn measure_region(w: Workload, kind: RegionKind, scale: u32, traced: bool) -> Measurement {
     measure_region_on(w, kind, scale, traced, SimHeap::new()).0
 }
 
-/// [`measure_region`] with barrier elision explicitly on or off,
-/// ignoring `BENCH_ELIDE` — the elision A/B drives both arms from one
-/// process.
+/// [`measure_region`] with *sameregion* barrier elision on or off (every
+/// other region run is paper-faithful, elision off) — the elision A/B
+/// drives both arms from one process.
 pub fn measure_region_elide(w: Workload, kind: RegionKind, scale: u32, elide: bool) -> Measurement {
-    run_region_elide(w.name(), kind, scale, false, elide, SimHeap::new(), |env| {
-        w.run_region(env, scale)
-    })
-    .0
+    run_region_fn(w.name(), kind, false, elide, SimHeap::new(), |env| w.run_region(env, scale)).0
 }
 
 /// [`measure_region`] on a recycled heap (see [`measure_malloc_on`]).
@@ -148,7 +139,7 @@ pub fn measure_region_on(
     traced: bool,
     heap: SimHeap,
 ) -> (Measurement, SimHeap) {
-    run_region_fn(w.name(), kind, scale, traced, heap, |env| w.run_region(env, scale))
+    run_region_fn(w.name(), kind, traced, false, heap, |env| w.run_region(env, scale))
 }
 
 /// Runs moss's "slow" (single-region, interleaved) layout — the extra
@@ -164,7 +155,7 @@ pub fn measure_region_slow_on(
     traced: bool,
     heap: SimHeap,
 ) -> (Measurement, SimHeap) {
-    let (mut m, heap) = run_region_fn("moss", kind, scale, traced, heap, |env| {
+    let (mut m, heap) = run_region_fn("moss", kind, traced, false, heap, |env| {
         workloads::moss::run_region_slow(env, scale)
     });
     m.allocator = "Slow";
@@ -174,18 +165,6 @@ pub fn measure_region_slow_on(
 fn run_region_fn(
     name: &'static str,
     kind: RegionKind,
-    scale: u32,
-    traced: bool,
-    heap: SimHeap,
-    run: impl FnOnce(&mut RegionEnv) -> u64,
-) -> (Measurement, SimHeap) {
-    run_region_elide(name, kind, scale, traced, elide_from_env(), heap, run)
-}
-
-fn run_region_elide(
-    name: &'static str,
-    kind: RegionKind,
-    _scale: u32,
     traced: bool,
     elide: bool,
     heap: SimHeap,
@@ -420,95 +399,171 @@ fn run_matrix_checked_seeded(
 }
 
 /// The version stamped into every `results/*.json` document. Bump it
-/// whenever the shape of [`results_json`] changes; `compare_results`
-/// refuses to diff documents with mismatched versions.
+/// whenever the document shape changes; `compare_results` only reads
+/// documents of this version.
 ///
-/// v3 added `workers` and `host_cores` to the envelope so multi-core
-/// reruns are comparable with single-core baselines.
-pub const RESULTS_SCHEMA_VERSION: u64 = 3;
+/// v3 added `workers` and `host_cores` to the envelope. v4 declares
+/// every column once, with its [`ColumnKind`], in a `columns` map,
+/// records the workload `scale`, and writes exact cells as integers
+/// that the reader keeps exact over the whole `u64` range.
+pub const RESULTS_SCHEMA_VERSION: u64 = 4;
 
-/// The parallel-pass column attached to a results document: the worker
-/// count the pass fanned out to, and one wall-clock total per matrix row
-/// (same order as the serial rows). Kept separate from [`Measurement`]
-/// so documents without a parallel pass stay byte-identical to the
-/// pre-column format — `compare_results` treats the absent column as
-/// equal (see `OPT_TIME_FIELDS`).
-#[derive(Debug, Clone)]
-pub struct ParColumn {
-    /// How many workers the parallel pass used (`par_bench_workers()`).
-    pub workers: usize,
-    /// Wall-clock `total_ms` of each cell under the parallel pass, in
-    /// matrix order. Must be one entry per serial row.
-    pub total_ms: Vec<f64>,
+/// One cell of a results row. The variant is the column's
+/// [`ColumnKind`]; exact cells are integers, the rest milliseconds or
+/// (for [`Cell::Latency`]) the service's pause and latency shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell {
+    /// A deterministic counter or digest.
+    Exact(u64),
+    /// Wall-clock milliseconds.
+    Time(f64),
+    /// Wall-clock milliseconds of the parallel pass.
+    ParTime(f64),
+    /// A latency or pause figure; drift only ever warns.
+    Latency(f64),
 }
 
-/// Tail-latency columns attached by service-shaped benches (the region
-/// server): per-row p50/p99/p999 request latency in microseconds. Like
-/// [`ParColumn`], kept separate from [`Measurement`] so documents
-/// without the columns stay byte-identical to the older format —
-/// `compare_results` treats the absent columns as equal and, because
-/// latency is wall-clock shaped, downgrades drift to a warning (see
-/// `LATENCY_TIME_FIELDS`).
-#[derive(Debug, Clone)]
-pub struct LatencyColumn {
-    /// Median request latency per row, in microseconds.
-    pub p50_us: Vec<f64>,
-    /// 99th-percentile request latency per row, in microseconds.
-    pub p99_us: Vec<f64>,
-    /// 99.9th-percentile request latency per row, in microseconds.
-    pub p999_us: Vec<f64>,
-    /// Median `deleteregion`-increment pause per row, in microseconds.
-    /// Leave empty to omit the pause columns entirely (documents written
-    /// before incremental deletion stay byte-identical; `compare_results`
-    /// treats the absent columns as equal).
-    pub pause_p50_us: Vec<f64>,
-    /// 99th-percentile `deleteregion`-increment pause per row, in
-    /// microseconds. Empty omits, like [`LatencyColumn::pause_p50_us`].
-    pub pause_p99_us: Vec<f64>,
-}
+impl Cell {
+    /// The kind of the column this cell belongs to.
+    pub fn kind(self) -> ColumnKind {
+        match self {
+            Cell::Exact(_) => ColumnKind::Exact,
+            Cell::Time(_) => ColumnKind::Time,
+            Cell::ParTime(_) => ColumnKind::ParTime,
+            Cell::Latency(_) => ColumnKind::Latency,
+        }
+    }
 
-impl LatencyColumn {
-    /// The pause-free column set: request quantiles only, pause columns
-    /// omitted from the document.
-    pub fn new(p50_us: Vec<f64>, p99_us: Vec<f64>, p999_us: Vec<f64>) -> LatencyColumn {
-        LatencyColumn { p50_us, p99_us, p999_us, pause_p50_us: Vec::new(), pause_p99_us: Vec::new() }
+    fn render(self) -> String {
+        match self {
+            Cell::Exact(n) => n.to_string(),
+            Cell::Time(x) | Cell::ParTime(x) | Cell::Latency(x) => format!("{x:.3}"),
+        }
     }
 }
 
-/// Serializes measurements as a versioned JSON document and writes them
-/// to `results/<name>.json` (creating the directory), returning the
-/// path. Hand-rolled: the harness has no serialization dependency.
-pub fn write_results_json(name: &str, rows: &[Measurement]) -> std::io::Result<std::path::PathBuf> {
-    write_results_json_with_par(name, rows, None)
+/// One row of a results document: its identity and its named cells,
+/// in output order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Workload (or program, or bench section) name.
+    pub workload: String,
+    /// Allocator, backend or arm name.
+    pub allocator: String,
+    /// `(column, cell)` pairs.
+    pub cells: Vec<(String, Cell)>,
 }
 
-/// [`write_results_json`] with an optional parallel-pass column. `None`
-/// writes the exact pre-column document.
-pub fn write_results_json_with_par(
-    name: &str,
-    rows: &[Measurement],
-    par: Option<&ParColumn>,
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
+impl Row {
+    /// An empty row with the given identity.
+    pub fn new(workload: &str, allocator: &str) -> Row {
+        Row { workload: workload.to_string(), allocator: allocator.to_string(), cells: Vec::new() }
+    }
+
+    /// This row with one more cell.
+    pub fn with(mut self, column: &str, cell: Cell) -> Row {
+        self.cells.push((column.to_string(), cell));
+        self
+    }
+}
+
+impl Measurement {
+    /// This measurement as a results row — the one place a
+    /// [`Measurement`] becomes cells.
+    pub fn row(&self) -> Row {
+        let s = &self.stats;
+        let mut row = Row::new(self.workload, self.allocator)
+            .with("total_ms", Cell::Time(self.total.as_secs_f64() * 1e3))
+            .with("mem_ms", Cell::Time(self.mem.as_secs_f64() * 1e3))
+            .with("os_pages", Cell::Exact(self.os_pages))
+            .with("total_allocs", Cell::Exact(s.total_allocs))
+            .with("total_bytes", Cell::Exact(s.total_bytes))
+            .with("max_live_bytes", Cell::Exact(s.max_live_bytes));
+        if let Some(c) = &self.costs {
+            row = row
+                .with("safety_instrs", Cell::Exact(c.total_instrs()))
+                .with("barriers_elided", Cell::Exact(c.barriers_elided));
+        }
+        if let Some(c) = &self.cache {
+            row = row
+                .with("read_stall_cycles", Cell::Exact(c.read_stall_cycles))
+                .with("write_stall_cycles", Cell::Exact(c.write_stall_cycles));
+        }
+        row.with("checksum", Cell::Exact(self.checksum))
+    }
+}
+
+/// Writes `rows` as the schema-v4 document `<name>.json` and returns its
+/// path. A full run writes under `results/`; a `--quick` run (the flag
+/// [`scale_from_env`] reads) writes under `target/results/`, so smoke
+/// runs never overwrite the committed documents. `scale` is the
+/// workload scale the rows were measured at.
+pub fn write_results(name: &str, scale: u32, rows: &[Row]) -> std::io::Result<std::path::PathBuf> {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let dir = std::path::Path::new(if quick { "target/results" } else { "results" });
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, results_json_with_par(name, rows, par))?;
+    std::fs::write(&path, render_results(name, scale, rows))?;
     Ok(path)
 }
 
-/// [`write_results_json_with_par`] plus the optional tail-latency
-/// columns. `None` for both extras writes the exact pre-column document.
-pub fn write_results_json_full(
-    name: &str,
-    rows: &[Measurement],
-    par: Option<&ParColumn>,
-    lat: Option<&LatencyColumn>,
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, results_json_full(name, rows, par, lat))?;
-    Ok(path)
+/// The document [`write_results`] writes: the envelope (`schema_version`,
+/// `bench`, `commit`, `scale`, `workers`, `host_cores`, plus
+/// `par_workers` when a [`Cell::ParTime`] column is present), the
+/// `columns` map declaring each column's kind once, and one object per
+/// row. Deterministic counters are worker-count-independent (each cell
+/// owns its `SimHeap`); wall-clock fields are not, which is why the
+/// envelope records how wide the run fanned out.
+///
+/// Panics if a column appears with two kinds or two rows share an
+/// identity — either would make the document ambiguous to compare.
+pub fn render_results(name: &str, scale: u32, rows: &[Row]) -> String {
+    let mut columns: Vec<(&str, ColumnKind)> = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let same = |r: &Row| r.workload == row.workload && r.allocator == row.allocator;
+        assert!(
+            !rows[..i].iter().any(same),
+            "duplicate row {}/{} in {name}",
+            row.workload,
+            row.allocator
+        );
+        for (col, cell) in &row.cells {
+            match columns.iter().find(|(c, _)| c == col) {
+                Some((_, kind)) => assert_eq!(
+                    *kind,
+                    cell.kind(),
+                    "column {col} of {name} declared with two kinds"
+                ),
+                None => columns.push((col, cell.kind())),
+            }
+        }
+    }
+    let mut out = String::from("{\n");
+    out.push_str(&format!("\"schema_version\": {RESULTS_SCHEMA_VERSION},\n"));
+    out.push_str(&format!("\"bench\": \"{name}\",\n"));
+    out.push_str(&format!("\"commit\": \"{}\",\n", commit_id()));
+    out.push_str(&format!("\"scale\": {scale},\n"));
+    out.push_str(&format!("\"workers\": {},\n", bench_workers()));
+    out.push_str(&format!("\"host_cores\": {},\n", host_cores()));
+    if columns.iter().any(|(_, k)| *k == ColumnKind::ParTime) {
+        out.push_str(&format!("\"par_workers\": {},\n", par_bench_workers()));
+    }
+    let decls: Vec<String> =
+        columns.iter().map(|(c, k)| format!("\"{c}\": \"{}\"", k.name())).collect();
+    out.push_str(&format!("\"columns\": {{{}}},\n", decls.join(", ")));
+    out.push_str("\"rows\": [\n");
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "  {{\"workload\": \"{}\", \"allocator\": \"{}\"",
+            row.workload, row.allocator
+        ));
+        for (col, cell) in &row.cells {
+            out.push_str(&format!(", \"{col}\": {}", cell.render()));
+        }
+        out.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
+    }
+    out.push_str("]\n}\n");
+    out
 }
 
 /// The commit the results were produced from: `GIT_COMMIT` if set, else
@@ -527,124 +582,6 @@ fn commit_id() -> String {
             .map_or_else(|_| "unknown".to_string(), |c| c.trim().to_string()),
         None => head,
     }
-}
-
-/// The JSON document written by [`write_results_json`]: a schema-v3
-/// envelope (`schema_version`, `bench`, `commit`, `workers`,
-/// `host_cores`) wrapping the row array. Deterministic counters are
-/// worker-count-independent (each cell owns its `SimHeap`); wall-clock
-/// fields are not, which is why the envelope records how wide the run
-/// fanned out — `compare_results` downgrades time drift to a warning
-/// when the two documents disagree on `workers`.
-pub fn results_json(name: &str, rows: &[Measurement]) -> String {
-    results_json_with_par(name, rows, None)
-}
-
-/// [`results_json`] with an optional parallel-pass column: the envelope
-/// gains `par_workers` and every row a `par_total_ms` cell. With `None`
-/// the output is byte-identical to the pre-column format, so old and new
-/// documents diff cleanly.
-pub fn results_json_with_par(name: &str, rows: &[Measurement], par: Option<&ParColumn>) -> String {
-    results_json_full(name, rows, par, None)
-}
-
-/// [`results_json_with_par`] plus the optional tail-latency columns:
-/// every row gains `p50_us`/`p99_us`/`p999_us` cells. With `None` the
-/// output is byte-identical to [`results_json_with_par`], so service
-/// documents diff cleanly against plain ones.
-pub fn results_json_full(
-    name: &str,
-    rows: &[Measurement],
-    par: Option<&ParColumn>,
-    lat: Option<&LatencyColumn>,
-) -> String {
-    if let Some(p) = par {
-        assert_eq!(
-            p.total_ms.len(),
-            rows.len(),
-            "parallel pass must cover the matrix: one par_total_ms per row"
-        );
-    }
-    if let Some(l) = lat {
-        assert!(
-            l.p50_us.len() == rows.len()
-                && l.p99_us.len() == rows.len()
-                && l.p999_us.len() == rows.len(),
-            "latency columns must cover the matrix: one quantile triple per row"
-        );
-        assert!(
-            (l.pause_p50_us.is_empty() && l.pause_p99_us.is_empty())
-                || (l.pause_p50_us.len() == rows.len() && l.pause_p99_us.len() == rows.len()),
-            "pause columns must be omitted entirely or cover the matrix"
-        );
-    }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("\"schema_version\": {RESULTS_SCHEMA_VERSION},\n"));
-    out.push_str(&format!("\"bench\": \"{name}\",\n"));
-    out.push_str(&format!("\"commit\": \"{}\",\n", commit_id()));
-    out.push_str(&format!("\"workers\": {},\n", bench_workers()));
-    out.push_str(&format!("\"host_cores\": {},\n", host_cores()));
-    if let Some(p) = par {
-        out.push_str(&format!("\"par_workers\": {},\n", p.workers));
-    }
-    out.push_str("\"rows\": [\n");
-    for (i, m) in rows.iter().enumerate() {
-        let s = &m.stats;
-        out.push_str("  {");
-        out.push_str(&format!("\"workload\": \"{}\", ", m.workload));
-        out.push_str(&format!("\"allocator\": \"{}\", ", m.allocator));
-        out.push_str(&format!("\"total_ms\": {:.3}, ", m.total.as_secs_f64() * 1e3));
-        out.push_str(&format!("\"mem_ms\": {:.3}, ", m.mem.as_secs_f64() * 1e3));
-        if let Some(p) = par {
-            out.push_str(&format!("\"par_total_ms\": {:.3}, ", p.total_ms[i]));
-        }
-        if let Some(l) = lat {
-            out.push_str(&format!("\"p50_us\": {:.3}, ", l.p50_us[i]));
-            out.push_str(&format!("\"p99_us\": {:.3}, ", l.p99_us[i]));
-            out.push_str(&format!("\"p999_us\": {:.3}, ", l.p999_us[i]));
-            if !l.pause_p50_us.is_empty() {
-                out.push_str(&format!("\"pause_p50_us\": {:.3}, ", l.pause_p50_us[i]));
-                out.push_str(&format!("\"pause_p99_us\": {:.3}, ", l.pause_p99_us[i]));
-            }
-        }
-        out.push_str(&format!("\"os_pages\": {}, ", m.os_pages));
-        out.push_str(&format!("\"total_allocs\": {}, ", s.total_allocs));
-        out.push_str(&format!("\"total_bytes\": {}, ", s.total_bytes));
-        out.push_str(&format!("\"max_live_bytes\": {}, ", s.max_live_bytes));
-        if let Some(c) = &m.costs {
-            out.push_str(&format!("\"safety_instrs\": {}, ", c.total_instrs()));
-            out.push_str(&format!("\"barriers_elided\": {}, ", c.barriers_elided));
-        }
-        if let Some(c) = &m.cache {
-            out.push_str(&format!(
-                "\"read_stall_cycles\": {}, \"write_stall_cycles\": {}, ",
-                c.read_stall_cycles, c.write_stall_cycles
-            ));
-        }
-        out.push_str(&format!("\"checksum\": {}}}", m.checksum));
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// UTC calendar date, `YYYY-MM-DD`, from the system clock (civil-from-days,
-/// Hinnant's algorithm) — keeps the `BENCH_*.json` convention without a
-/// date-time dependency.
-pub fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
 }
 
 /// Formats a byte count as the paper's kbytes.
@@ -707,92 +644,47 @@ mod tests {
     }
 
     #[test]
-    fn par_column_is_opt_in_and_leaves_plain_documents_untouched() {
-        let jobs = [
-            Job::Malloc(Workload::Cfrac, MallocKind::Lea),
-            Job::Region(Workload::Cfrac, RegionKind::Safe),
-        ];
-        let rows = run_matrix(&jobs, 1, false);
-        // None = byte-identical to the historical writer.
-        let plain = results_json("fig_test", &rows);
-        assert_eq!(plain, results_json_with_par("fig_test", &rows, None));
-        assert!(!plain.contains("par_"), "no par fields without a parallel pass");
-        // Some = envelope + one cell per row, nothing else moves.
-        let par = ParColumn { workers: 3, total_ms: vec![12.5, 0.25] };
-        let with = results_json_with_par("fig_test", &rows, Some(&par));
-        assert!(with.contains("\"par_workers\": 3,"));
-        assert!(with.contains("\"par_total_ms\": 12.500, "));
-        assert!(with.contains("\"par_total_ms\": 0.250, "));
-        assert_eq!(
-            with.matches("par_total_ms").count(),
-            rows.len(),
-            "exactly one par cell per row"
+    fn every_column_is_declared_once_with_its_kind() {
+        let rows = run_matrix(
+            &[
+                Job::Malloc(Workload::Cfrac, MallocKind::Lea),
+                Job::Region(Workload::Cfrac, RegionKind::Safe),
+            ],
+            1,
+            false,
         );
+        let plain: Vec<Row> = rows.iter().map(Measurement::row).collect();
+        let doc = render_results("fig_test", 1, &plain);
+        // The malloc row lacks the safety cells; the columns map still
+        // declares them once, from the region row.
+        assert!(doc.contains("\"safety_instrs\": \"exact\""));
+        assert_eq!(doc.matches("\"checksum\": \"exact\"").count(), 1);
+        assert_eq!(doc.matches("\"total_ms\": \"time\"").count(), 1);
+        assert!(!doc.contains("par_"), "no par fields without a parallel pass");
+        // A parallel-pass column adds its declaration and par_workers.
+        let with_par: Vec<Row> =
+            plain.iter().cloned().map(|r| r.with("par_total_ms", Cell::ParTime(12.5))).collect();
+        let doc = render_results("fig_test", 1, &with_par);
+        assert!(doc.contains("\"par_total_ms\": \"par_time\""));
+        assert!(doc.contains(&format!("\"par_workers\": {},", par_bench_workers())));
+        assert_eq!(doc.matches("\"par_total_ms\": 12.500").count(), rows.len());
     }
 
     #[test]
-    #[should_panic(expected = "one par_total_ms per row")]
-    fn par_column_must_cover_every_row() {
-        let rows = run_matrix(&[Job::Malloc(Workload::Cfrac, MallocKind::Lea)], 1, false);
-        let par = ParColumn { workers: 3, total_ms: Vec::new() };
-        let _ = results_json_with_par("fig_test", &rows, Some(&par));
-    }
-
-    #[test]
-    fn latency_columns_are_opt_in_and_leave_plain_documents_untouched() {
-        let jobs = [
-            Job::Malloc(Workload::Cfrac, MallocKind::Lea),
-            Job::Region(Workload::Cfrac, RegionKind::Safe),
+    #[should_panic(expected = "declared with two kinds")]
+    fn a_column_has_exactly_one_kind() {
+        let rows = [
+            Row::new("a", "x").with("p99_us", Cell::Latency(1.0)),
+            Row::new("b", "x").with("p99_us", Cell::Time(1.0)),
         ];
-        let rows = run_matrix(&jobs, 1, false);
-        // None = byte-identical to the historical writer.
-        let plain = results_json_with_par("fig_test", &rows, None);
-        assert_eq!(plain, results_json_full("fig_test", &rows, None, None));
-        assert!(!plain.contains("p50_us"), "no latency fields without a latency pass");
-        // Some = three cells per row, nothing else moves.
-        let lat =
-            LatencyColumn::new(vec![0.9, 1.1], vec![250.0, 260.5], vec![400.0, 410.25]);
-        let with = results_json_full("fig_test", &rows, None, Some(&lat));
-        assert!(with.contains("\"p50_us\": 0.900, "));
-        assert!(with.contains("\"p99_us\": 260.500, "));
-        assert!(with.contains("\"p999_us\": 410.250, "));
-        for f in ["p50_us", "p99_us", "p999_us"] {
-            assert_eq!(with.matches(f).count(), rows.len(), "one {f} cell per row");
-        }
-        // Empty pause vectors omit the pause columns entirely.
-        assert!(!with.contains("pause_p50_us"), "empty pause vectors must omit the columns");
-        // Populated ones add exactly two cells per row, nothing else moves.
-        let paused = LatencyColumn {
-            pause_p50_us: vec![2.0, 2.5],
-            pause_p99_us: vec![40.0, 41.5],
-            ..lat.clone()
-        };
-        let with_pause = results_json_full("fig_test", &rows, None, Some(&paused));
-        assert!(with_pause.contains("\"pause_p50_us\": 2.000, "));
-        assert!(with_pause.contains("\"pause_p99_us\": 41.500, "));
-        for f in ["pause_p50_us", "pause_p99_us"] {
-            assert_eq!(with_pause.matches(f).count(), rows.len(), "one {f} cell per row");
-        }
+        let _ = render_results("fig_test", 1, &rows);
     }
 
     #[test]
-    #[should_panic(expected = "one quantile triple per row")]
-    fn latency_columns_must_cover_every_row() {
-        let rows = run_matrix(&[Job::Malloc(Workload::Cfrac, MallocKind::Lea)], 1, false);
-        let lat = LatencyColumn::new(vec![1.0], Vec::new(), vec![2.0]);
-        let _ = results_json_full("fig_test", &rows, None, Some(&lat));
-    }
-
-    #[test]
-    #[should_panic(expected = "omitted entirely or cover the matrix")]
-    fn pause_columns_must_cover_every_row_or_be_absent() {
-        let rows = run_matrix(&[Job::Malloc(Workload::Cfrac, MallocKind::Lea)], 1, false);
-        let lat = LatencyColumn {
-            pause_p50_us: vec![1.0],
-            pause_p99_us: Vec::new(),
-            ..LatencyColumn::new(vec![1.0], vec![2.0], vec![3.0])
-        };
-        let _ = results_json_full("fig_test", &rows, None, Some(&lat));
+    #[should_panic(expected = "duplicate row a/x")]
+    fn row_identities_are_unique() {
+        let rows = [Row::new("a", "x"), Row::new("a", "x")];
+        let _ = render_results("fig_test", 1, &rows);
     }
 
     #[test]
@@ -863,19 +755,22 @@ mod tests {
     }
 
     #[test]
-    fn results_json_is_wellformed_and_versioned() {
+    fn results_document_is_wellformed_and_versioned() {
         let rows = run_matrix(&[Job::Region(Workload::Cfrac, RegionKind::Safe)], 1, false);
-        let json = results_json("smoke", &rows);
+        let rows: Vec<Row> = rows.iter().map(Measurement::row).collect();
+        let json = render_results("smoke", 3, &rows);
         assert!(json.starts_with("{\n") && json.ends_with("}\n"));
         assert!(json.contains(&format!("\"schema_version\": {RESULTS_SCHEMA_VERSION}")));
         assert!(json.contains("\"bench\": \"smoke\""));
         assert!(json.contains("\"commit\": \""));
+        assert!(json.contains("\"scale\": 3,"));
         assert!(json.contains("\"workers\": "));
         assert!(json.contains("\"host_cores\": "));
+        assert!(json.contains("\"columns\": {"));
         assert!(json.contains("\"rows\": [\n"));
         assert!(json.contains("\"workload\": \"cfrac\""));
-        assert!(json.contains("\"safety_instrs\""));
-        assert!(json.contains("\"checksum\""));
+        assert!(json.contains("\"safety_instrs\": "));
+        assert!(json.contains("\"checksum\": "));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
